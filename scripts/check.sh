@@ -22,8 +22,9 @@
 #   5. a standalone UBSan build (GPUDB_SANITIZE=undefined, recover off) of
 #      the full suite — UB aborts the test instead of hiding behind ASan's
 #      interceptors, and
-#   6. a TSan build of the parallel-pixel-engine determinism test and the
-#      fault sweep, run oversubscribed (GPUDB_THREADS=8) to shake out races
+#   6. a TSan build of the parallel-pixel-engine determinism test, the
+#      staged-kernel differential test, and the fault sweep, run
+#      oversubscribed (GPUDB_THREADS=8) to shake out races
 #      in the row-band dispatch and the interrupt/fault paths.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -136,8 +137,10 @@ ctest --test-dir build-ubsan --output-on-failure -j
 
 echo "== sanitizers: TSan build + parallel determinism + fault sweep + pool soak =="
 cmake -B build-tsan -S . -DGPUDB_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j --target gpu_parallel_test device_fuzz_test gpu_pool_test
+cmake --build build-tsan -j --target gpu_parallel_test gpu_kernel_test \
+  device_fuzz_test gpu_pool_test
 GPUDB_THREADS=8 ./build-tsan/tests/gpu_parallel_test
+./build-tsan/tests/gpu_kernel_test
 GPUDB_THREADS=8 ./build-tsan/tests/device_fuzz_test --gtest_filter='FaultSweep.*'
 GPUDB_THREADS=8 ./build-tsan/tests/gpu_pool_test
 GPUDB_FAULT_SEED=20260805 GPUDB_FAULT_RATE=0.05 GPUDB_THREADS=8 \

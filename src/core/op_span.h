@@ -22,12 +22,13 @@ namespace core {
 /// Nested GpuOpSpans overlap by design (a parent's delta includes its
 /// children's); tree consumers compute self-time as total minus children.
 /// When tracing is disabled the constructor costs one atomic load and no
-/// counter copy.
+/// counter copy; when enabled it takes a CounterMark, which never copies
+/// the pass log.
 class GpuOpSpan {
  public:
   GpuOpSpan(std::string_view name, gpu::Device* device)
       : span_(name), device_(device) {
-    if (span_.active()) before_ = device_->counters();
+    if (span_.active()) before_ = gpu::CounterMark::Of(device_->counters());
   }
 
   ~GpuOpSpan() {
@@ -67,7 +68,7 @@ class GpuOpSpan {
  private:
   TraceSpan span_;
   gpu::Device* device_;
-  gpu::DeviceCounters before_;
+  gpu::CounterMark before_;
 };
 
 }  // namespace core

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #if defined(__SSE2__)
@@ -491,584 +493,511 @@ void Device::ResetTransform() {
   window_space_vertices_ = true;
 }
 
-GPUDB_ALWAYS_INLINE
-void Device::ProcessFragment(const RasterFragment& frag, PassContext* ctx) {
-  const RenderState& rs = state_;
-  const uint64_t i = uint64_t{frag.y} * fb_.width() + frag.x;
-  ++ctx->pass->fragments;
+namespace {
 
-  // --- Fragment program (pixel processing engine) ----------------------
+// --- The staged row kernel (DESIGN.md §14) ---------------------------------
+//
+// Every quad pass whose per-fragment work is known to the device runs one
+// kernel, StagedRowKernel<Stage>. The fragment stage yields, per fragment,
+// whether it survives the program (KILL) and alpha stages and its quantized
+// depth; everything after that -- stencil, depth bounds, depth test, the
+// plane writes, occlusion, and the gpuprof kill tallies -- is one shared
+// tail. The tail has two forms with one outcome: SimdLanes, 16 fragments
+// per SSE2 step without data-dependent branches, and ScalarLane, for row
+// remainders, for passes that write color, and for the generic path
+// (GenericFragment) that programs without a stage take.
+
+/// What a fragment stage yields: for one fragment (F = float) whether it
+/// survives the program's KILL and the alpha test, and its quantized depth;
+/// for four fragments (F = FloatLanes) the same as 0 / -1 and code lanes.
+template <typename F>
+struct StageOut;
+template <>
+struct StageOut<float> {
+  bool alive;
+  uint32_t depth;
+};
+template <>
+struct StageOut<FloatLanes> {
+  IntLanes alive;
+  IntLanes depth;
+};
+
+/// A per-pass flag or depth code as F's alive / depth form.
+template <typename F>
+auto AllLanes(bool b) {
+  if constexpr (std::is_same_v<F, float>) {
+    return b;
+  } else {
+    return IntLanes{} - int32_t{b};
+  }
+}
+template <typename F>
+auto Code(uint32_t q) {
+  if constexpr (std::is_same_v<F, float>) {
+    return q;
+  } else {
+    return IntLanes{} + static_cast<int32_t>(q);
+  }
+}
+inline bool And(bool a, bool b) { return a && b; }
+inline IntLanes And(IntLanes a, IntLanes b) { return a & b; }
+
+/// Fixed-function quads: every fragment has the quad's depth and the
+/// constant alpha 1.0, so both outcomes are resolved once per pass.
+struct FlatStage {
+  static constexpr bool kFlat = true;
+  bool alive;
+  uint32_t depth;
+
+  template <typename F>
+  StageOut<F> At(uint64_t) const {
+    return {AllLanes<F>(alive), Code<F>(depth)};
+  }
+  std::array<float, 4> Color(uint64_t) const { return {0, 0, 0, 1}; }
+};
+
+/// Depth copy and fused compare: texel -> normalize -> quantize. The color
+/// stays at its default, so the alpha outcome is per pass.
+struct DepthCopyRowStage {
+  static constexpr bool kFlat = false;
+  DepthCopyStage program;
+  uint32_t depth_max;
+  bool alpha_ok;
+
+  template <typename F>
+  StageOut<F> At(uint64_t i) const {
+    return {AllLanes<F>(alpha_ok),
+            QuantizeDepth(program.Depth<F>(i), depth_max)};
+  }
+  std::array<float, 4> Color(uint64_t) const { return {0, 0, 0, 1}; }
+};
+
+/// Semilinear: dot product plus KILL at the quad's depth.
+struct SemilinearRowStage {
+  static constexpr bool kFlat = false;
+  SemilinearStage program;
+  uint32_t depth;
+  bool alpha_ok;
+
+  template <typename F>
+  StageOut<F> At(uint64_t i) const {
+    return {And(AllLanes<F>(alpha_ok), program.Keep(program.Dot<F>(i))),
+            Code<F>(depth)};
+  }
+  std::array<float, 4> Color(uint64_t i) const {
+    return {program.Dot<float>(i), 0, 0, 1};
+  }
+};
+
+/// TestBit: frac -> alpha test at the quad's depth.
+struct TestBitRowStage {
+  static constexpr bool kFlat = false;
+  TestBitStage program;
+  CompareTable alpha_test;
+  float alpha_ref;
+  uint32_t depth;
+
+  template <typename F>
+  StageOut<F> At(uint64_t i) const {
+    return {alpha_test(program.Alpha<F>(i), Splat<F>(alpha_ref)),
+            Code<F>(depth)};
+  }
+  std::array<float, 4> Color(uint64_t i) const {
+    return {0, 0, 0, program.Alpha<float>(i)};
+  }
+};
+
+/// The pass's RenderState reduced to what the tail reads. A disabled depth
+/// test compares with ALWAYS, so only depth writes look at the enable bit.
+struct TailState {
+  bool stencil_test;
+  bool depth_reads;  ///< the depth test or the bounds test reads the plane
+  bool bounds_test;
+  bool depth_write;
+  bool color_write;
+  uint8_t stencil_ref;
+  uint8_t ref_masked;
+  uint8_t value_mask;
+  uint8_t write_mask;
+  StencilOp fail_op;
+  StencilOp zfail_op;
+  StencilOp zpass_op;
+  CompareTable stencil_cmp;
+  CompareTable depth_cmp;
+  uint32_t bounds_min;
+  uint32_t bounds_max;
+
+  explicit TailState(const RenderState& rs)
+      : stencil_test(rs.stencil_test_enabled),
+        depth_reads(rs.depth_test_enabled || rs.depth_bounds_test_enabled),
+        bounds_test(rs.depth_bounds_test_enabled),
+        depth_write(rs.depth_test_enabled && rs.depth_write_mask),
+        color_write(rs.color_write_mask),
+        stencil_ref(rs.stencil_ref),
+        ref_masked(static_cast<uint8_t>(rs.stencil_ref &
+                                        rs.stencil_value_mask)),
+        value_mask(rs.stencil_value_mask),
+        write_mask(rs.stencil_write_mask),
+        fail_op(rs.stencil_fail_op),
+        zfail_op(rs.stencil_zfail_op),
+        zpass_op(rs.stencil_zpass_op),
+        stencil_cmp(rs.stencil_func),
+        depth_cmp(rs.depth_test_enabled ? rs.depth_func : CompareOp::kAlways),
+        bounds_min(rs.depth_bounds_min),
+        bounds_max(rs.depth_bounds_max) {}
+};
+
+/// Per-band counts of one kernel call, reduced into the band's tile. Every
+/// passing fragment writes depth when the pass writes depth at all, so
+/// depth_writes is `passed` or zero.
+struct RowTally {
+  uint64_t fragments = 0;
+  uint64_t alive = 0;           ///< fragments - alive = alpha_killed
+  uint64_t stencil_killed = 0;
+  uint64_t passed = 0;
+  uint64_t stencil_updates = 0;
+};
+
+/// Folds a kernel call's tally into its pass record and occlusion count.
+void AddTally(const RowTally& t, const TailState& ts, bool profiled,
+              PassRecord* pass, uint64_t* occlusion) {
+  pass->fragments += t.fragments;
+  pass->fragments_passed += t.passed;
+  if (ts.depth_write) pass->depth_writes += t.passed;
+  pass->stencil_updates += t.stencil_updates;
+  if (profiled) {
+    pass->prof.alpha_killed += t.fragments - t.alive;
+    pass->prof.stencil_killed += t.stencil_killed;
+  }
+  if (occlusion != nullptr) *occlusion += t.passed;
+}
+
+/// One fragment through the tail: stencil test, depth bounds, depth test,
+/// and the plane writes, as OpenGL orders them.
+template <typename Stage>
+GPUDB_ALWAYS_INLINE void ScalarLane(const Stage& stage, const TailState& ts,
+                                    StageOut<float> f, uint64_t i,
+                                    uint32_t* depth, uint8_t* stencil,
+                                    float* color, RowTally* t) {
+  if (!f.alive) return;
+  ++t->alive;
+  const uint8_t stored = stencil[i];
+  const auto update_stencil = [&](StencilOp op) {
+    const uint8_t res = ApplyStencilOp(op, stored, ts.stencil_ref);
+    const auto merged = static_cast<uint8_t>((stored & ~ts.write_mask) |
+                                             (res & ts.write_mask));
+    if (merged != stored) {
+      stencil[i] = merged;
+      ++t->stencil_updates;
+    }
+  };
+  if (ts.stencil_test &&
+      !ts.stencil_cmp(ts.ref_masked,
+                      static_cast<uint8_t>(stored & ts.value_mask))) {
+    update_stencil(ts.fail_op);  // Op1
+    ++t->stencil_killed;
+    return;
+  }
+  const uint32_t d = depth[i];
+  const bool depth_pass =
+      (!ts.bounds_test || (d >= ts.bounds_min && d <= ts.bounds_max)) &&
+      ts.depth_cmp(f.depth, d);
+  if (!depth_pass) {
+    if (ts.stencil_test) update_stencil(ts.zfail_op);  // Op2
+    return;
+  }
+  if (ts.stencil_test) update_stencil(ts.zpass_op);  // Op3
+  ++t->passed;
+  if (ts.depth_write) depth[i] = f.depth;
+  if (ts.color_write) {
+    const std::array<float, 4> rgba = stage.Color(i);
+    for (int c = 0; c < 4; ++c) color[i * 4 + c] = rgba[c];
+  }
+}
+
+/// A program's per-fragment color, for ScalarLane's color write.
+struct ProgramColor {
+  std::array<float, 4> color;
+  std::array<float, 4> Color(uint64_t) const { return color; }
+};
+
+/// The generic path's per-pass context: programs without a fragment stage
+/// run their virtual Execute per fragment, then the shared tail.
+struct GenericPass {
+  std::array<const Texture*, 4> units;
+  const FragmentProgram* program;  ///< null for untextured triangles
+  TailState tail;
+  CompareTable alpha_test;
+  float alpha_ref;
+};
+
+/// One rasterized fragment through Execute, the alpha test, and the tail.
+/// Safe to call from band workers as long as no two concurrent calls share
+/// a pixel or a tally (RenderInternal's row bands guarantee both).
+GPUDB_ALWAYS_INLINE void GenericFragment(const GenericPass& gp,
+                                         const RasterFragment& frag,
+                                         FrameBuffer* fb, RowTally* t) {
+  const uint64_t i = uint64_t{frag.y} * fb->width() + frag.x;
+  ++t->fragments;
   FragmentOutput out;
   out.depth = frag.depth;
-  if (ctx->program != nullptr) {
+  if (gp.program != nullptr) {
     FragmentInput in;
     in.texel_index = i;
     in.frag_depth = frag.depth;
-    in.tex0 = ctx->units[0];
-    in.tex1 = ctx->units[1];
-    in.tex2 = ctx->units[2];
-    in.tex3 = ctx->units[3];
-    ctx->program->Execute(in, &out);
-    if (out.discarded) {  // KILL: skips all later stages.
-      if (ctx->profile) ++ctx->pass->prof.alpha_killed;
-      return;
-    }
-  } else if (ctx->flat_depth) {
-    // Fixed-function quad: depth quantization and the alpha test were
-    // resolved once per pass (same outcome for every fragment).
-    if (ctx->alpha_fail) {
-      if (ctx->profile) ++ctx->pass->prof.alpha_killed;
-      return;
-    }
-    ProcessTestedFragment(i, ctx->flat_depth_q, out.color, ctx);
-    return;
+    in.tex0 = gp.units[0];
+    in.tex1 = gp.units[1];
+    in.tex2 = gp.units[2];
+    in.tex3 = gp.units[3];
+    gp.program->Execute(in, &out);
+    if (out.discarded) return;  // KILL: skips all later stages.
   }
-  const uint32_t frag_depth_q =
-      out.depth_written ? fb_.Quantize(out.depth) : fb_.Quantize(frag.depth);
-
-  // --- Alpha test -------------------------------------------------------
-  if (rs.alpha_test_enabled &&
-      !EvalCompare(rs.alpha_func, out.color[3], rs.alpha_ref)) {
-    // Alpha failures do not reach the stencil stage.
-    if (ctx->profile) ++ctx->pass->prof.alpha_killed;
-    return;
-  }
-
-  ProcessTestedFragment(i, frag_depth_q, out.color, ctx);
+  // Alpha failures do not reach the stencil stage.
+  if (!gp.alpha_test(out.color[3], gp.alpha_ref)) return;
+  const uint32_t depth_q =
+      fb->Quantize(out.depth_written ? out.depth : frag.depth);
+  ScalarLane(ProgramColor{out.color}, gp.tail, StageOut<float>{true, depth_q},
+             i, fb->depth_data(), fb->stencil_data(), fb->color_data(), t);
 }
 
-GPUDB_ALWAYS_INLINE
-void Device::ProcessTestedFragment(uint64_t i, uint32_t frag_depth_q,
-                                   const std::array<float, 4>& color,
-                                   PassContext* ctx) {
-  const RenderState& rs = state_;
+#if defined(__SSE2__)
+/// A stencil op on 16 lanes without a branch on the op:
+/// ((sat(stored + inc) - dec) & keep) ^ flip covers all six.
+struct StencilOp16 {
+  __m128i inc, dec, keep, flip;
 
-  // --- Stencil test -------------------------------------------------------
-  const uint8_t stored_stencil = fb_.stencil(i);
-  auto update_stencil = [&](StencilOp op) {
-    const uint8_t result = ApplyStencilOp(op, stored_stencil, rs.stencil_ref);
-    const uint8_t merged =
-        static_cast<uint8_t>((stored_stencil & ~rs.stencil_write_mask) |
-                             (result & rs.stencil_write_mask));
-    if (merged != stored_stencil) {
-      fb_.set_stencil(i, merged);
-      ++ctx->pass->stencil_updates;
-    }
-  };
-  if (rs.stencil_test_enabled) {
-    // GL semantics: (ref & mask) FUNC (stored & mask).
-    const auto ref =
-        static_cast<uint8_t>(rs.stencil_ref & rs.stencil_value_mask);
-    const auto val =
-        static_cast<uint8_t>(stored_stencil & rs.stencil_value_mask);
-    if (!EvalCompare(rs.stencil_func, ref, val)) {
-      update_stencil(rs.stencil_fail_op);  // Op1
-      if (ctx->profile) ++ctx->pass->prof.stencil_killed;
-      return;
-    }
+  StencilOp16(StencilOp op, uint8_t ref)
+      : inc(_mm_set1_epi8(op == StencilOp::kIncr ? 1 : 0)),
+        dec(_mm_set1_epi8(op == StencilOp::kDecr ? 1 : 0)),
+        keep(_mm_set1_epi8(op == StencilOp::kZero || op == StencilOp::kReplace
+                               ? 0
+                               : -1)),
+        flip(_mm_set1_epi8(static_cast<char>(
+            op == StencilOp::kReplace  ? ref
+            : op == StencilOp::kInvert ? 0xff
+                                       : 0))) {}
+
+  __m128i Apply(__m128i stored) const {
+    const __m128i t = _mm_subs_epu8(_mm_adds_epu8(stored, inc), dec);
+    return _mm_xor_si128(_mm_and_si128(t, keep), flip);
   }
-
-  // --- Depth bounds test (GL_EXT_depth_bounds_test) -----------------------
-  // Tests the depth value stored in the framebuffer, not the fragment's.
-  // A bounds failure counts as a depth-test failure (Op2).
-  bool depth_pass = true;
-  if (rs.depth_bounds_test_enabled) {
-    const uint32_t stored_depth = fb_.depth(i);
-    depth_pass = stored_depth >= rs.depth_bounds_min &&
-                 stored_depth <= rs.depth_bounds_max;
-  }
-
-  // --- Depth test ----------------------------------------------------------
-  if (depth_pass && rs.depth_test_enabled) {
-    depth_pass = EvalCompare(rs.depth_func, frag_depth_q, fb_.depth(i));
-  }
-
-  if (!depth_pass) {
-    if (rs.stencil_test_enabled) update_stencil(rs.stencil_zfail_op);  // Op2
-    return;
-  }
-  if (rs.stencil_test_enabled) update_stencil(rs.stencil_zpass_op);  // Op3
-
-  // --- Fragment passed: count and write -----------------------------------
-  ++ctx->pass->fragments_passed;
-  if (ctx->occlusion != nullptr) ++*ctx->occlusion;
-
-  // As in OpenGL, depth writes only happen when the depth test is enabled
-  // (CopyToDepth therefore enables the test with func ALWAYS).
-  if (rs.depth_test_enabled && rs.depth_write_mask) {
-    if (fb_.depth(i) != frag_depth_q) {
-      fb_.set_depth(i, frag_depth_q);
-    }
-    ++ctx->pass->depth_writes;
-  }
-  if (rs.color_write_mask) {
-    fb_.set_color(i, color);
-  }
-}
-
-namespace {
-
-/// Per-band output of a specialized quad-row kernel, reduced into the
-/// band's PassContext by the caller.
-struct QuadKernelOut {
-  uint64_t fragments = 0;
-  uint64_t passed = 0;
-  uint64_t depth_writes = 0;
-  uint64_t stencil_updates = 0;
-  uint64_t occlusion = 0;
-  // Filled only by the kProfile instantiation; zero otherwise.
-  uint64_t alpha_killed = 0;
-  uint64_t stencil_killed = 0;
 };
 
-/// Shared body of the specialized quad-row kernels: the exact
-/// alpha/stencil/depth-bounds/depth chain and buffer writes of
-/// ProcessFragment/ProcessTestedFragment for a screen-aligned quad whose
-/// per-fragment color is FragmentOutput's default and whose alpha test was
-/// resolved once per pass, with the fragment depth supplied by
-/// `depth_q_of(i)` (a constant for fixed-function quads, a texel fetch for
-/// depth-copy programs).
+/// The tail's per-pass constants as SSE2 lanes: 32-bit lanes for depth
+/// (unsigned compares by flipping the sign bit), 8-bit lanes for stencil.
+struct SimdTail {
+  __m128i bias;
+  __m128i d_lt, d_eq, d_gt;        ///< depth_cmp truth table
+  __m128i bounds_min, bounds_max;  ///< biased
+  __m128i s_lt, s_eq, s_gt;        ///< stencil_cmp truth table
+  __m128i ref_masked, value_mask, write_mask;
+  StencilOp16 fail, zfail, zpass;
+
+  explicit SimdTail(const TailState& ts)
+      : bias(_mm_set1_epi32(static_cast<int>(0x80000000u))),
+        d_lt(_mm_set1_epi32(ts.depth_cmp.lt ? -1 : 0)),
+        d_eq(_mm_set1_epi32(ts.depth_cmp.eq ? -1 : 0)),
+        d_gt(_mm_set1_epi32(ts.depth_cmp.gt ? -1 : 0)),
+        bounds_min(
+            _mm_set1_epi32(static_cast<int>(ts.bounds_min ^ 0x80000000u))),
+        bounds_max(
+            _mm_set1_epi32(static_cast<int>(ts.bounds_max ^ 0x80000000u))),
+        s_lt(_mm_set1_epi8(ts.stencil_cmp.lt ? -1 : 0)),
+        s_eq(_mm_set1_epi8(ts.stencil_cmp.eq ? -1 : 0)),
+        s_gt(_mm_set1_epi8(ts.stencil_cmp.gt ? -1 : 0)),
+        ref_masked(_mm_set1_epi8(static_cast<char>(ts.ref_masked))),
+        value_mask(_mm_set1_epi8(static_cast<char>(ts.value_mask))),
+        write_mask(_mm_set1_epi8(static_cast<char>(ts.write_mask))),
+        fail(ts.fail_op, ts.stencil_ref),
+        zfail(ts.zfail_op, ts.stencil_ref),
+        zpass(ts.zpass_op, ts.stencil_ref) {}
+};
+
+GPUDB_ALWAYS_INLINE __m128i Select(__m128i mask, __m128i a, __m128i b) {
+  return _mm_or_si128(_mm_and_si128(mask, a), _mm_andnot_si128(mask, b));
+}
+
+/// Per-lane byte counters: adding a 0/-1 mask counts its set lanes. A lane
+/// gains at most one per 16-fragment step, so the bytes cannot overflow
+/// within kMaxSteps steps; the kernel adds them to its tally that often.
+struct LaneCounts {
+  static constexpr int kMaxSteps = 255;
+
+  __m128i alive = _mm_setzero_si128();
+  __m128i passed = _mm_setzero_si128();
+  __m128i stencil_killed = _mm_setzero_si128();
+  __m128i stencil_updates = _mm_setzero_si128();
+
+  static uint64_t CountLanes(__m128i bytes) {
+    const __m128i s = _mm_sad_epu8(bytes, _mm_setzero_si128());
+    return static_cast<uint64_t>(_mm_extract_epi16(s, 0)) +
+           static_cast<uint64_t>(_mm_extract_epi16(s, 4));
+  }
+  void DrainInto(RowTally* t) {
+    t->alive += CountLanes(alive);
+    t->passed += CountLanes(passed);
+    t->stencil_killed += CountLanes(stencil_killed);
+    t->stencil_updates += CountLanes(stencil_updates);
+    *this = LaneCounts();
+  }
+};
+
+/// Sixteen fragments [i, i+16) through the tail: ScalarLane's outcome for
+/// every lane, computed as lane masks. `alive` holds 0x00/0xff bytes.
+GPUDB_ALWAYS_INLINE void SimdLanes(const TailState& ts, const SimdTail& v,
+                                   __m128i alive, const __m128i q[4],
+                                   uint64_t i, uint32_t* depth,
+                                   uint8_t* stencil, LaneCounts* n) {
+  const __m128i ones = _mm_set1_epi8(-1);
+  __m128i d[4] = {};
+  __m128i depth_pass = ones;
+  if (ts.depth_reads) {
+    __m128i dp32[4];
+    for (int g = 0; g < 4; ++g) {
+      d[g] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(depth + i) + g);
+      const __m128i db = _mm_xor_si128(d[g], v.bias);
+      const __m128i qb = _mm_xor_si128(q[g], v.bias);
+      __m128i m = _mm_or_si128(
+          _mm_or_si128(_mm_and_si128(_mm_cmpgt_epi32(db, qb), v.d_lt),
+                       _mm_and_si128(_mm_cmpeq_epi32(q[g], d[g]), v.d_eq)),
+          _mm_and_si128(_mm_cmpgt_epi32(qb, db), v.d_gt));
+      if (ts.bounds_test) {
+        m = _mm_andnot_si128(_mm_or_si128(_mm_cmpgt_epi32(v.bounds_min, db),
+                                          _mm_cmpgt_epi32(db, v.bounds_max)),
+                             m);
+      }
+      dp32[g] = m;
+    }
+    // Saturating packs map 0 / -1 lanes onto 0 / -1 bytes exactly.
+    depth_pass = _mm_packs_epi16(_mm_packs_epi32(dp32[0], dp32[1]),
+                                 _mm_packs_epi32(dp32[2], dp32[3]));
+  }
+  __m128i stencil_pass = ones;
+  if (ts.stencil_test) {
+    const __m128i stored =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(stencil + i));
+    // Unsigned (ref & mask) FUNC (stored & mask) from eq and ref <= val.
+    const __m128i val = _mm_and_si128(stored, v.value_mask);
+    const __m128i eq = _mm_cmpeq_epi8(v.ref_masked, val);
+    const __m128i le =
+        _mm_cmpeq_epi8(_mm_min_epu8(v.ref_masked, val), v.ref_masked);
+    stencil_pass = _mm_or_si128(
+        _mm_or_si128(_mm_and_si128(_mm_andnot_si128(eq, le), v.s_lt),
+                     _mm_and_si128(eq, v.s_eq)),
+        _mm_andnot_si128(le, v.s_gt));
+    const __m128i res =
+        Select(alive,
+               Select(stencil_pass,
+                      Select(depth_pass, v.zpass.Apply(stored),
+                             v.zfail.Apply(stored)),
+                      v.fail.Apply(stored)),
+               stored);
+    const __m128i merged = Select(v.write_mask, res, stored);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(stencil + i), merged);
+    n->stencil_updates = _mm_sub_epi8(
+        n->stencil_updates,
+        _mm_andnot_si128(_mm_cmpeq_epi8(merged, stored), ones));
+    n->stencil_killed = _mm_sub_epi8(n->stencil_killed,
+                                     _mm_andnot_si128(stencil_pass, alive));
+  }
+  const __m128i pass =
+      _mm_and_si128(_mm_and_si128(alive, stencil_pass), depth_pass);
+  n->alive = _mm_sub_epi8(n->alive, alive);
+  n->passed = _mm_sub_epi8(n->passed, pass);
+  if (ts.depth_write) {
+    const __m128i lo = _mm_unpacklo_epi8(pass, pass);
+    const __m128i hi = _mm_unpackhi_epi8(pass, pass);
+    const __m128i p32[4] = {
+        _mm_unpacklo_epi16(lo, lo), _mm_unpackhi_epi16(lo, lo),
+        _mm_unpacklo_epi16(hi, hi), _mm_unpackhi_epi16(hi, hi)};
+    for (int g = 0; g < 4; ++g) {
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(depth + i) + g,
+                       Select(p32[g], q[g], d[g]));
+    }
+  }
+}
+#endif  // defined(__SSE2__)
+
+/// Whether a pass runs the tail 16 lanes at a time. Color writes take the
+/// scalar lane: the color is per fragment and passes rarely write it.
+bool SimdTailFor(const TailState& ts) {
+#if defined(__SSE2__)
+  return !ts.color_write;
+#else
+  (void)ts;
+  return false;
+#endif
+}
+
+/// The staged row kernel: rows [y_begin, y_end) of `rect` through `Stage`
+/// and the shared tail, sixteen fragments per step (the stage yields them
+/// four at a time), with the scalar lane for the rest of each row.
 ///
-/// Everything the loop reads lives in locals: the stencil plane is
-/// uint8_t, and char-typed stores may alias any object in the abstract
-/// machine, so a loop reading RenderState or the plane pointers through
-/// members would reload them after every stencil write. Locals whose
-/// address never escapes cannot alias and stay in registers.
-///
-/// `kProfile` selects the gpuprof instantiation: the extra kill counters
-/// are `if constexpr`-guarded, so the default <false> kernel -- the one
-/// every non-profiled pass runs -- compiles to exactly the pre-gpuprof
-/// loop (counters off = no-ops, not branches).
-template <bool kProfile, typename DepthQFn>
-void QuadRowKernel(const RenderState& rs_in, FrameBuffer* fb,
-                   const ScissorRect& rect, uint32_t y_begin, uint32_t y_end,
-                   bool alpha_fail, bool count_occlusion, DepthQFn depth_q_of,
-                   QuadKernelOut* result) {
-  const RenderState rs = rs_in;
+/// Everything the loops read lives in locals: the stencil plane is
+/// uint8_t (and __m128i may alias anything), so a loop reading RenderState,
+/// the stage, or the plane pointers through references would reload them
+/// after every stencil store. Locals whose address never escapes cannot
+/// alias and stay in registers.
+template <typename Stage>
+void StagedRowKernel(const Stage& stage_in, const TailState& ts_in,
+                     FrameBuffer* fb, const ScissorRect& rect,
+                     uint32_t y_begin, uint32_t y_end, RowTally* out) {
+  const Stage stage = stage_in;
+  const TailState ts = ts_in;
   const uint32_t w = fb->width();
   uint32_t* const depth = fb->depth_data();
   uint8_t* const stencil = fb->stencil_data();
   float* const color = fb->color_data();
-  // FragmentOutput's default color: what these quad passes write.
-  const std::array<float, 4> out_color = {0, 0, 0, 1};
-  const auto ref_masked =
-      static_cast<uint8_t>(rs.stencil_ref & rs.stencil_value_mask);
-
-  uint64_t fragments = 0;
-  uint64_t passed = 0;
-  uint64_t depth_writes = 0;
-  uint64_t stencil_updates = 0;
-  uint64_t occl = 0;
-  uint64_t stencil_killed = 0;
-
-  for (uint32_t y = y_begin; y < y_end; ++y) {
-    uint64_t i = uint64_t{y} * w + rect.x0;
-    for (uint32_t x = rect.x0; x < rect.x1; ++x, ++i) {
-      ++fragments;
-      if (alpha_fail) continue;
-
-      const uint8_t stored_stencil = stencil[i];
-      const auto update_stencil = [&](StencilOp op) {
-        const uint8_t result8 =
-            ApplyStencilOp(op, stored_stencil, rs.stencil_ref);
-        const uint8_t merged =
-            static_cast<uint8_t>((stored_stencil & ~rs.stencil_write_mask) |
-                                 (result8 & rs.stencil_write_mask));
-        if (merged != stored_stencil) {
-          stencil[i] = merged;
-          ++stencil_updates;
-        }
-      };
-      if (rs.stencil_test_enabled) {
-        const auto val =
-            static_cast<uint8_t>(stored_stencil & rs.stencil_value_mask);
-        if (!EvalCompare(rs.stencil_func, ref_masked, val)) {
-          update_stencil(rs.stencil_fail_op);  // Op1
-          if constexpr (kProfile) ++stencil_killed;
-          continue;
-        }
-      }
-
-      const uint32_t frag_depth_q = depth_q_of(i);
-
-      bool depth_pass = true;
-      if (rs.depth_bounds_test_enabled) {
-        const uint32_t stored_depth = depth[i];
-        depth_pass = stored_depth >= rs.depth_bounds_min &&
-                     stored_depth <= rs.depth_bounds_max;
-      }
-      if (depth_pass && rs.depth_test_enabled) {
-        depth_pass = EvalCompare(rs.depth_func, frag_depth_q, depth[i]);
-      }
-      if (!depth_pass) {
-        if (rs.stencil_test_enabled) update_stencil(rs.stencil_zfail_op);
-        continue;
-      }
-      if (rs.stencil_test_enabled) update_stencil(rs.stencil_zpass_op);
-
-      ++passed;
-      if (count_occlusion) ++occl;
-      if (rs.depth_test_enabled && rs.depth_write_mask) {
-        if (depth[i] != frag_depth_q) depth[i] = frag_depth_q;
-        ++depth_writes;
-      }
-      if (rs.color_write_mask) {
-        for (int c = 0; c < 4; ++c) color[i * 4 + c] = out_color[c];
-      }
-    }
-  }
-
-  result->fragments = fragments;
-  result->passed = passed;
-  result->depth_writes = depth_writes;
-  result->stencil_updates = stencil_updates;
-  result->occlusion = occl;
-  if constexpr (kProfile) {
-    // A pre-resolved alpha failure kills every fragment of the quad.
-    result->alpha_killed = alpha_fail ? fragments : 0;
-    result->stencil_killed = stencil_killed;
-  } else {
-    (void)stencil_killed;
-  }
-}
-
-/// Whether a pass can run the branchless TestCountRowKernel below instead
-/// of the general QuadRowKernel: nothing but the stencil plane and the
-/// counters may change (depth and color writes off, bounds test off), the
-/// fragment must reach the depth test whenever the stencil lets it through
-/// (no alpha kill), and a failing fragment must leave its stencil alone
-/// (Keep on both fail paths). This is the shape of every comparison,
-/// selection, chain, and counting quad the operators issue, which makes it
-/// the hottest loop in the simulator. Profiled passes stay eligible: the
-/// only per-fragment gpuprof tallies are the kill counts, alpha_killed is
-/// structurally zero here (no alpha kill) and stencil_killed is the
-/// stencil-fail count the kernels produce on demand.
-bool EligibleForTestCount(const RenderState& rs, bool alpha_fail) {
-  return !alpha_fail && !rs.depth_bounds_test_enabled &&
-         rs.depth_test_enabled && !rs.depth_write_mask &&
-         !rs.color_write_mask &&
-         (!rs.stencil_test_enabled ||
-          (rs.stencil_fail_op == StencilOp::kKeep &&
-           rs.stencil_zfail_op == StencilOp::kKeep));
-}
-
-/// Branchless body for EligibleForTestCount passes. Semantically identical
-/// to QuadRowKernel under that configuration -- same counters, same stencil
-/// results -- but the data-dependent test outcomes feed arithmetic selects
-/// instead of branches: at the 40-60% selectivities the paper's queries
-/// run, the general loop's depth-test branch mispredicts almost every other
-/// fragment, which is what made a fixed-function comparison quad slower
-/// than the 3-instruction copy pass it follows.
-template <typename DepthQFn>
-void TestCountRowKernel(const RenderState& rs_in, FrameBuffer* fb,
-                        const ScissorRect& rect, uint32_t y_begin,
-                        uint32_t y_end, bool count_occlusion, bool profile,
-                        DepthQFn depth_q_of, QuadKernelOut* result) {
-  const RenderState rs = rs_in;
-  const uint32_t w = fb->width();
-  const uint32_t* const depth = fb->depth_data();
-  uint8_t* const stencil = fb->stencil_data();
-  const bool stest = rs.stencil_test_enabled;
-  const auto ref_masked =
-      static_cast<uint8_t>(rs.stencil_ref & rs.stencil_value_mask);
-
-  // The compare op is loop-invariant, so reduce it to a truth table over
-  // the three orderings: dp = (lt & m_lt) | (eq & m_eq) | (gt & m_gt).
-  const CompareOp df = rs.depth_func;
-  const uint8_t m_lt =
-      (df == CompareOp::kLess || df == CompareOp::kLessEqual ||
-       df == CompareOp::kNotEqual || df == CompareOp::kAlways)
-          ? 1
-          : 0;
-  const uint8_t m_eq =
-      (df == CompareOp::kEqual || df == CompareOp::kLessEqual ||
-       df == CompareOp::kGreaterEqual || df == CompareOp::kAlways)
-          ? 1
-          : 0;
-  const uint8_t m_gt =
-      (df == CompareOp::kGreater || df == CompareOp::kGreaterEqual ||
-       df == CompareOp::kNotEqual || df == CompareOp::kAlways)
-          ? 1
-          : 0;
-
-  // The stencil pipeline -- func, zpass op, write mask -- only ever sees the
-  // stored byte as its varying input, so the whole thing collapses into two
-  // 256-entry tables computed once per pass.
-  uint8_t sok_of[256];
-  uint8_t pass_value_of[256];
-  if (stest) {
-    for (int s = 0; s < 256; ++s) {
-      const auto stored = static_cast<uint8_t>(s);
-      sok_of[s] = EvalCompare(
-                      rs.stencil_func, ref_masked,
-                      static_cast<uint8_t>(stored & rs.stencil_value_mask))
-                      ? 1
-                      : 0;
-      const uint8_t res =
-          ApplyStencilOp(rs.stencil_zpass_op, stored, rs.stencil_ref);
-      pass_value_of[s] =
-          static_cast<uint8_t>((stored & ~rs.stencil_write_mask) |
-                               (res & rs.stencil_write_mask));
-    }
-  }
-
-  // The chain passes the planner emits (DESIGN.md §14) test the stencil
-  // with kEqual under full masks, so a passing fragment always holds
-  // exactly `ref` and its replacement value is one constant -- the table
-  // lookups drop out of the loop entirely.
-  const bool exact_equal = stest && rs.stencil_func == CompareOp::kEqual &&
-                           rs.stencil_value_mask == 0xff;
-  const uint8_t eq_next = exact_equal ? pass_value_of[ref_masked] : 0;
-
-  uint64_t fragments = 0;
-  uint64_t passed = 0;
-  uint64_t stencil_updates = 0;
-  uint64_t stencil_ok = 0;  // -> stencil_killed when profiling
-  for (uint32_t y = y_begin; y < y_end; ++y) {
-    uint64_t i = uint64_t{y} * w + rect.x0;
-    if (exact_equal) {
-      for (uint32_t x = rect.x0; x < rect.x1; ++x, ++i) {
-        const uint8_t stored = stencil[i];
-        const uint32_t q = depth_q_of(i);
-        const uint32_t d = depth[i];
-        const uint8_t dp = static_cast<uint8_t>((m_lt & (q < d ? 1 : 0)) |
-                                                (m_eq & (q == d ? 1 : 0)) |
-                                                (m_gt & (q > d ? 1 : 0)));
-        const uint8_t sok = stored == ref_masked ? 1 : 0;
-        const uint8_t pass = static_cast<uint8_t>(sok & dp);
-        stencil_ok += sok;
-        const uint8_t next = pass != 0 ? eq_next : stored;
-        stencil[i] = next;
-        stencil_updates += next != stored ? 1 : 0;
-        passed += pass;
-      }
-    } else if (stest) {
-      for (uint32_t x = rect.x0; x < rect.x1; ++x, ++i) {
-        const uint8_t stored = stencil[i];
-        const uint32_t q = depth_q_of(i);
-        const uint32_t d = depth[i];
-        const uint8_t dp = static_cast<uint8_t>((m_lt & (q < d ? 1 : 0)) |
-                                                (m_eq & (q == d ? 1 : 0)) |
-                                                (m_gt & (q > d ? 1 : 0)));
-        const uint8_t sok = sok_of[stored];
-        const uint8_t pass = static_cast<uint8_t>(sok & dp);
-        stencil_ok += sok;
-        const uint8_t next = pass != 0 ? pass_value_of[stored] : stored;
-        stencil[i] = next;
-        stencil_updates += next != stored ? 1 : 0;
-        passed += pass;
-      }
-    } else {
-      for (uint32_t x = rect.x0; x < rect.x1; ++x, ++i) {
-        const uint32_t q = depth_q_of(i);
-        const uint32_t d = depth[i];
-        passed += (m_lt & (q < d ? 1 : 0)) | (m_eq & (q == d ? 1 : 0)) |
-                  (m_gt & (q > d ? 1 : 0));
-      }
-    }
-    fragments += rect.x1 - rect.x0;
-  }
-  result->fragments = fragments;
-  result->passed = passed;
-  result->stencil_updates = stencil_updates;
-  result->occlusion = count_occlusion ? passed : 0;
-  // Same ledger the kProfile QuadRowKernel keeps: alpha_killed is zero by
-  // eligibility (no alpha kill), stencil_killed is the stencil-fail count.
-  if (profile && stest) result->stencil_killed = fragments - stencil_ok;
-}
-
+  RowTally t;
 #if defined(__SSE2__)
-/// SSE2 lane of TestCountRowKernel for flat quads (one depth value for the
-/// whole primitive) whose stencil state is either off or the planner's
-/// exact-equal chain shape. Sixteen fragments per step; the scalar kernel
-/// handles the row remainder and every other configuration. Counter and
-/// stencil results are bit-identical to the scalar loop.
-bool TestCountRowsFlatSimd(const RenderState& rs, FrameBuffer* fb,
-                           const ScissorRect& rect, uint32_t y_begin,
-                           uint32_t y_end, bool count_occlusion, bool profile,
-                           uint32_t q, QuadKernelOut* result) {
-  const bool stest = rs.stencil_test_enabled;
-  const bool exact_equal = stest && rs.stencil_func == CompareOp::kEqual &&
-                           rs.stencil_value_mask == 0xff;
-  if (stest && !exact_equal) return false;
-
-  const CompareOp df = rs.depth_func;
-  const bool w_lt = df == CompareOp::kLess || df == CompareOp::kLessEqual ||
-                    df == CompareOp::kNotEqual || df == CompareOp::kAlways;
-  const bool w_eq = df == CompareOp::kEqual || df == CompareOp::kLessEqual ||
-                    df == CompareOp::kGreaterEqual || df == CompareOp::kAlways;
-  const bool w_gt = df == CompareOp::kGreater ||
-                    df == CompareOp::kGreaterEqual ||
-                    df == CompareOp::kNotEqual || df == CompareOp::kAlways;
-
-  const uint32_t w = fb->width();
-  const uint32_t* const depth = fb->depth_data();
-  uint8_t* const stencil = fb->stencil_data();
-  const auto ref =
-      static_cast<uint8_t>(rs.stencil_ref & rs.stencil_value_mask);
-  uint8_t eq_next = 0;
-  if (exact_equal) {
-    const uint8_t res = ApplyStencilOp(rs.stencil_zpass_op, ref,
-                                       rs.stencil_ref);
-    eq_next = static_cast<uint8_t>((ref & ~rs.stencil_write_mask) |
-                                   (res & rs.stencil_write_mask));
-  }
-
-  const __m128i bias = _mm_set1_epi32(static_cast<int>(0x80000000u));
-  const __m128i qv = _mm_set1_epi32(static_cast<int>(q));
-  const __m128i qb = _mm_xor_si128(qv, bias);
-  const __m128i m_lt = _mm_set1_epi32(w_lt ? -1 : 0);
-  const __m128i m_eq = _mm_set1_epi32(w_eq ? -1 : 0);
-  const __m128i m_gt = _mm_set1_epi32(w_gt ? -1 : 0);
-  const __m128i ref16 = _mm_set1_epi8(static_cast<char>(ref));
-  const __m128i next16 = _mm_set1_epi8(static_cast<char>(eq_next));
-
-  uint64_t fragments = 0;
-  uint64_t passed = 0;
-  uint64_t stencil_updates = 0;
-  uint64_t stencil_ok = 0;  // -> stencil_killed when profiling
+  const bool simd = SimdTailFor(ts);
+  const SimdTail v(ts);
+  const StageOut<float> flat = Stage::kFlat ? stage.template At<float>(0)
+                                            : StageOut<float>{false, 0};
+  const __m128i flat_alive = _mm_set1_epi8(flat.alive ? -1 : 0);
+  const __m128i flat_q = _mm_set1_epi32(static_cast<int>(flat.depth));
+  LaneCounts counts;
+  int steps = 0;  // since counts were last added to t
+#endif
   for (uint32_t y = y_begin; y < y_end; ++y) {
     uint64_t i = uint64_t{y} * w + rect.x0;
     uint32_t x = rect.x0;
-    for (; x + 16 <= rect.x1; x += 16, i += 16) {
-      // Pack four 32-lane depth verdicts into one 16-byte mask. The packs
-      // are saturating, which maps 0 / -1 lanes onto 0 / -1 bytes exactly.
-      __m128i dp32[4];
-      for (int g = 0; g < 4; ++g) {
-        const __m128i d = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(depth + i) + g);
-        const __m128i db = _mm_xor_si128(d, bias);
-        const __m128i lt = _mm_cmpgt_epi32(db, qb);  // q < d
-        const __m128i eq = _mm_cmpeq_epi32(qv, d);
-        const __m128i gt = _mm_cmpgt_epi32(qb, db);  // q > d
-        dp32[g] = _mm_or_si128(
-            _mm_or_si128(_mm_and_si128(lt, m_lt), _mm_and_si128(eq, m_eq)),
-            _mm_and_si128(gt, m_gt));
+#if defined(__SSE2__)
+    for (; simd && x + 16 <= rect.x1; x += 16, i += 16) {
+      __m128i alive16 = flat_alive;
+      __m128i q[4] = {flat_q, flat_q, flat_q, flat_q};
+      if constexpr (!Stage::kFlat) {
+        __m128i alive32[4];
+        for (int g = 0; g < 4; ++g) {
+          const StageOut<FloatLanes> f =
+              stage.template At<FloatLanes>(i + 4 * g);
+          q[g] = reinterpret_cast<__m128i>(f.depth);
+          alive32[g] = reinterpret_cast<__m128i>(f.alive);
+        }
+        alive16 = _mm_packs_epi16(_mm_packs_epi32(alive32[0], alive32[1]),
+                                  _mm_packs_epi32(alive32[2], alive32[3]));
       }
-      const __m128i dp16 = _mm_packs_epi16(_mm_packs_epi32(dp32[0], dp32[1]),
-                                           _mm_packs_epi32(dp32[2], dp32[3]));
-      if (exact_equal) {
-        const __m128i stored = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(stencil + i));
-        const __m128i sok = _mm_cmpeq_epi8(stored, ref16);
-        stencil_ok += __builtin_popcount(
-            static_cast<unsigned>(_mm_movemask_epi8(sok)));
-        const __m128i pass = _mm_and_si128(dp16, sok);
-        const __m128i next = _mm_or_si128(_mm_and_si128(pass, next16),
-                                          _mm_andnot_si128(pass, stored));
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(stencil + i), next);
-        passed += __builtin_popcount(
-            static_cast<unsigned>(_mm_movemask_epi8(pass)));
-        stencil_updates += __builtin_popcount(
-            static_cast<unsigned>(_mm_movemask_epi8(_mm_cmpeq_epi8(
-                next, stored))) ^
-            0xffffu);
-      } else {
-        passed += __builtin_popcount(
-            static_cast<unsigned>(_mm_movemask_epi8(dp16)));
+      SimdLanes(ts, v, alive16, q, i, depth, stencil, &counts);
+      if (++steps == LaneCounts::kMaxSteps) {
+        counts.DrainInto(&t);
+        steps = 0;
       }
     }
+#endif
     for (; x < rect.x1; ++x, ++i) {
-      const uint32_t d = depth[i];
-      const bool dp = (w_lt && q < d) || (w_eq && q == d) || (w_gt && q > d);
-      if (exact_equal) {
-        const uint8_t stored = stencil[i];
-        const bool sok = stored == ref;
-        stencil_ok += sok ? 1 : 0;
-        const bool pass = dp && sok;
-        const uint8_t next = pass ? eq_next : stored;
-        stencil[i] = next;
-        stencil_updates += next != stored ? 1 : 0;
-        passed += pass ? 1 : 0;
-      } else {
-        passed += dp ? 1 : 0;
-      }
+      ScalarLane(stage, ts, stage.template At<float>(i), i, depth, stencil,
+                 color, &t);
     }
-    fragments += rect.x1 - rect.x0;
+    t.fragments += rect.x1 - rect.x0;
   }
-  result->fragments = fragments;
-  result->passed = passed;
-  result->stencil_updates = stencil_updates;
-  result->occlusion = count_occlusion ? passed : 0;
-  if (profile && exact_equal) result->stencil_killed = fragments - stencil_ok;
-  return true;
-}
-#endif  // defined(__SSE2__)
-
-void ReduceQuadKernel(const QuadKernelOut& out, PassRecord* pass,
-                      uint64_t* occlusion) {
-  pass->fragments += out.fragments;
-  pass->fragments_passed += out.passed;
-  pass->depth_writes += out.depth_writes;
-  pass->stencil_updates += out.stencil_updates;
-  pass->prof.alpha_killed += out.alpha_killed;
-  pass->prof.stencil_killed += out.stencil_killed;
-  if (occlusion != nullptr) *occlusion += out.occlusion;
+#if defined(__SSE2__)
+  counts.DrainInto(&t);
+#endif
+  *out = t;
 }
 
 }  // namespace
-
-void Device::RunFixedRows(const ScissorRect& rect, uint32_t y_begin,
-                          uint32_t y_end, PassContext* ctx) {
-  const uint32_t q = ctx->flat_depth_q;
-  const auto depth_q_of = [q](uint64_t) { return q; };
-  QuadKernelOut out;
-  if (EligibleForTestCount(state_, ctx->alpha_fail)) {
-#if defined(__SSE2__)
-    if (!TestCountRowsFlatSimd(state_, &fb_, rect, y_begin, y_end,
-                               ctx->occlusion != nullptr, ctx->profile, q,
-                               &out))
-#endif
-      TestCountRowKernel(state_, &fb_, rect, y_begin, y_end,
-                         ctx->occlusion != nullptr, ctx->profile, depth_q_of,
-                         &out);
-  } else if (ctx->profile) {
-    QuadRowKernel<true>(state_, &fb_, rect, y_begin, y_end, ctx->alpha_fail,
-                        ctx->occlusion != nullptr, depth_q_of, &out);
-  } else {
-    QuadRowKernel<false>(state_, &fb_, rect, y_begin, y_end, ctx->alpha_fail,
-                         ctx->occlusion != nullptr, depth_q_of, &out);
-  }
-  ReduceQuadKernel(out, ctx->pass, ctx->occlusion);
-}
-
-void Device::RunDepthCopyRows(const ScissorRect& rect, uint32_t y_begin,
-                              uint32_t y_end, const CopyToDepthProgram& prog,
-                              const Texture& tex, PassContext* ctx) {
-  // Per-fragment depth exactly as CopyToDepthProgram::Execute +
-  // FrameBuffer::Quantize compute it: fetch, normalize in double, round
-  // once to float32, then quantize (depth_max hoisted -- a uint32 depth
-  // store could alias the member copy).
-  const float* const texels = tex.data().data();
-  const auto channels = static_cast<uint64_t>(tex.channels());
-  const auto channel = static_cast<uint64_t>(prog.channel());
-  const double scale = prog.scale();
-  const double offset = prog.offset();
-  const uint32_t depth_max = fb_.depth_max();
-  const auto depth_q_of = [=](uint64_t i) -> uint32_t {
-    const float v = texels[i * channels + channel];
-    const auto d = static_cast<float>((static_cast<double>(v) - offset) *
-                                      scale);
-    if (d <= 0.0f) return 0;
-    if (d >= 1.0f) return depth_max;
-    return static_cast<uint32_t>(static_cast<double>(d) * depth_max + 0.5);
-  };
-  QuadKernelOut out;
-  if (EligibleForTestCount(state_, ctx->alpha_fail)) {
-    // Fused compare programs (depth writes off) take the branchless path
-    // with the texel fetch inlined as the fragment depth.
-    TestCountRowKernel(state_, &fb_, rect, y_begin, y_end,
-                       ctx->occlusion != nullptr, ctx->profile, depth_q_of,
-                       &out);
-  } else if (ctx->profile) {
-    QuadRowKernel<true>(state_, &fb_, rect, y_begin, y_end, ctx->alpha_fail,
-                        ctx->occlusion != nullptr, depth_q_of, &out);
-  } else {
-    QuadRowKernel<false>(state_, &fb_, rect, y_begin, y_end, ctx->alpha_fail,
-                         ctx->occlusion != nullptr, depth_q_of, &out);
-  }
-  ReduceQuadKernel(out, ctx->pass, ctx->occlusion);
-}
 
 void Device::ApplyPlaneTrafficModel(PassRecord* pass) const {
   // Bandwidth model for a tested pass (DESIGN.md §13): the stencil unit
@@ -1102,8 +1031,8 @@ Status Device::FinishPass(PassRecord pass) {
         pass.fragments - p.alpha_killed - p.stencil_killed <
             pass.fragments_passed) {
       return Status::Internal(
-          "gpuprof fragment ledger out of balance in pass '" + pass.label +
-          "'");
+          "gpuprof fragment ledger out of balance in pass '" +
+          std::string(pass.label) + "'");
     }
     p.depth_tested = pass.fragments - p.alpha_killed - p.stencil_killed;
     p.depth_killed = p.depth_tested - pass.fragments_passed;
@@ -1117,7 +1046,7 @@ Status Device::FinishPass(PassRecord pass) {
   if (!pass.Valid()) {
     return Status::Internal(
         "PassRecord invariants violated at record time in pass '" +
-        pass.label + "'");
+        std::string(pass.label) + "'");
   }
   ++counters_.passes;
   counters_.fragments_generated += pass.fragments;
@@ -1145,7 +1074,7 @@ Status Device::FinishPass(PassRecord pass) {
     // One span per rendering pass, carrying the full PassRecord. The span
     // is emitted at pass completion (zero duration on the trace timeline);
     // the nesting under the operator that issued the pass is what matters.
-    TraceSpan span("pass:" + pass.label);
+    TraceSpan span("pass:" + std::string(pass.label));
     span.AddTag("fragments", pass.fragments);
     span.AddTag("fragments_passed", pass.fragments_passed);
     span.AddTag("fp_instructions", pass.fp_instructions);
@@ -1155,6 +1084,7 @@ Status Device::FinishPass(PassRecord pass) {
                 pass.in_occlusion_query ? "true" : "false");
     if (pass.fused) span.AddTag("fused", "true");
     if (pass.cache_hit) span.AddTag("cache", "hit");
+    span.AddTag("kernel", ToString(pass.kernel));
     if (pass.profiled) {
       span.AddTag("alpha_killed", pass.prof.alpha_killed);
       span.AddTag("stencil_killed", pass.prof.stencil_killed);
@@ -1212,13 +1142,12 @@ Status Device::RenderInternal(float quad_depth, bool textured) {
   }
 
   PassRecord pass;
-  pass.label = program != nullptr ? std::string(program->name())
-                                  : std::string("fixed-function");
+  pass.label = program != nullptr ? program->name() : "fixed-function";
   pass.fp_instructions = program != nullptr ? program->instruction_count() : 0;
   pass.in_occlusion_query = occlusion_active_;
   pass.fused = fused;
-  // One relaxed load per pass decides both the kernel instantiation and
-  // which PassRecords carry deep counters; a mid-pass toggle cannot tear.
+  // One relaxed load per pass decides which PassRecords carry deep
+  // counters; a mid-pass toggle cannot tear.
   pass.profiled = Profiler::Global().enabled();
 
   // The viewport's first n pixels form up to two rectangles: the full rows
@@ -1271,19 +1200,63 @@ Status Device::RenderInternal(float quad_depth, bool textured) {
       std::max(1, std::min(worker_threads_, static_cast<int>(total_rows)));
   std::vector<Tile> tiles(static_cast<size_t>(bands));
 
-  // Per-pass constants for the fixed-function fast path: every fragment of
-  // an untextured quad has the same depth (quantize once) and the constant
-  // alpha 1.0 (resolve the alpha test once).
-  const uint32_t flat_depth_q = fb_.Quantize(quad_depth);
-  const bool alpha_fail =
-      state_.alpha_test_enabled &&
-      !EvalCompare(state_.alpha_func, 1.0f, state_.alpha_ref);
-  // Depth-copy programs leave the output color at its default, so the same
-  // hoisted alpha outcome applies and the batched kernel below is exact.
-  const CopyToDepthProgram* depth_copy =
-      program != nullptr ? program->AsDepthCopy() : nullptr;
-
+  // Pick the pass's fragment stage once (DESIGN.md §14). Fixed-function
+  // quads and the programs with an As*() stage run the staged row kernel;
+  // any other program runs the generic per-fragment path.
   const bool profiled = pass.profiled;
+  const bool occlusion = occlusion_active_;
+  const TailState tail(state_);
+  const CompareTable alpha_test(state_.alpha_test_enabled
+                                    ? state_.alpha_func
+                                    : CompareOp::kAlways);
+  // Fixed-function quads and the depth-copy and Semilinear programs leave
+  // alpha at 1.0, so their alpha outcome is the same for every fragment.
+  const bool alpha_ok = alpha_test(1.0f, state_.alpha_ref);
+  const uint32_t quad_q = fb_.Quantize(quad_depth);
+  using RowFn =
+      std::function<void(const ScissorRect&, uint32_t, uint32_t, Tile*)>;
+  const auto staged = [&](const auto& stage) -> RowFn {
+    return [this, stage, tail, occlusion, profiled](
+               const ScissorRect& rect, uint32_t yb, uint32_t ye, Tile* tile) {
+      RowTally t;
+      StagedRowKernel(stage, tail, &fb_, rect, yb, ye, &t);
+      AddTally(t, tail, profiled, &tile->pass,
+               occlusion ? &tile->occlusion : nullptr);
+    };
+  };
+  const Texture* tex0 = units[0];
+  RowFn rows;
+  if (program == nullptr) {
+    rows = staged(FlatStage{alpha_ok, quad_q});
+  } else if (tex0 != nullptr && program->AsDepthCopy() != nullptr) {
+    rows = staged(DepthCopyRowStage{
+        DepthCopyStage(*program->AsDepthCopy(), *tex0), fb_.depth_max(),
+        alpha_ok});
+  } else if (tex0 != nullptr && program->AsSemilinear() != nullptr) {
+    rows = staged(SemilinearRowStage{
+        SemilinearStage(*program->AsSemilinear(), *tex0), quad_q, alpha_ok});
+  } else if (tex0 != nullptr && program->AsTestBit() != nullptr) {
+    rows = staged(TestBitRowStage{TestBitStage(*program->AsTestBit(), *tex0),
+                                  alpha_test, state_.alpha_ref, quad_q});
+  } else {
+    const GenericPass gp{units, program, tail, alpha_test, state_.alpha_ref};
+    rows = [this, gp, quad_depth, occlusion, profiled](
+               const ScissorRect& rect, uint32_t yb, uint32_t ye, Tile* tile) {
+      RowTally t;
+      RasterizeRectRows(rect, quad_depth, yb, ye,
+                        [&](const RasterFragment& frag) {
+                          GenericFragment(gp, frag, &fb_, &t);
+                        });
+      AddTally(t, gp.tail, profiled, &tile->pass,
+               occlusion ? &tile->occlusion : nullptr);
+    };
+    pass.kernel = PassKernel::kGeneric;
+  }
+  if (pass.kernel == PassKernel::kNone) {
+    pass.kernel = SimdTailFor(tail) ? PassKernel::kStagedSimd
+                                    : PassKernel::kStagedScalar;
+  }
+
   const auto run_band = [&](int band) {
     // Per-band cooperative cancellation: a band that starts after the
     // interrupt fired does no work. Bands already in their fragment loop
@@ -1291,19 +1264,9 @@ Status Device::RenderInternal(float quad_depth, bool textured) {
     if (InterruptPending()) return;
     const auto band_start = profiled ? std::chrono::steady_clock::now()
                                      : std::chrono::steady_clock::time_point();
-    // Tile accumulators live on the band's stack so the optimizer can keep
-    // them in registers through the fragment loop; copied into the shared
+    // Tile accumulators live on the band's stack; copied into the shared
     // tile vector once at band end.
     Tile tile;
-    PassContext ctx;
-    ctx.units = units;
-    ctx.program = program;
-    ctx.pass = &tile.pass;
-    ctx.occlusion = occlusion_active_ ? &tile.occlusion : nullptr;
-    ctx.flat_depth = program == nullptr;
-    ctx.flat_depth_q = flat_depth_q;
-    ctx.alpha_fail = alpha_fail;
-    ctx.profile = profiled;
     // Rows [row_begin, row_end) of the concatenated row sequence.
     const auto nrows = uint64_t{total_rows};
     const auto row_begin =
@@ -1318,20 +1281,7 @@ Status Device::RenderInternal(float quad_depth, bool textured) {
       const uint32_t lo = std::max(row_begin, skipped);
       const uint32_t hi = std::min(row_end, skipped + height);
       if (lo < hi) {
-        const uint32_t yb = rect.y0 + (lo - skipped);
-        const uint32_t ye = rect.y0 + (hi - skipped);
-        if (program == nullptr) {
-          // Fixed-function quad: dedicated kernel with hoisted state.
-          RunFixedRows(rect, yb, ye, &ctx);
-        } else if (depth_copy != nullptr && units[0] != nullptr) {
-          // Depth-copy program: batched fetch/normalize/quantize kernel.
-          RunDepthCopyRows(rect, yb, ye, *depth_copy, *units[0], &ctx);
-        } else {
-          RasterizeRectRows(rect, quad_depth, yb, ye,
-                            [this, &ctx](const RasterFragment& frag) {
-                              ProcessFragment(frag, &ctx);
-                            });
-        }
+        rows(rect, rect.y0 + (lo - skipped), rect.y0 + (hi - skipped), &tile);
       }
       skipped += height;
     }
@@ -1388,24 +1338,25 @@ Status Device::DrawTriangles(const std::vector<Vertex>& vertices) {
     units[u] = &textures_[bound_units_[u]].data;
   }
   PassRecord pass;
-  pass.label = program_ != nullptr ? std::string(program_->name())
-                                   : std::string("triangles");
+  pass.label = program_ != nullptr ? program_->name() : "triangles";
   pass.fp_instructions =
       program_ != nullptr ? program_->instruction_count() : 0;
   pass.in_occlusion_query = occlusion_active_;
   pass.profiled = Profiler::Global().enabled();
+  pass.kernel = PassKernel::kGeneric;
 
   // Arbitrary geometry may overlap itself (later triangles read earlier
   // ones' depth/stencil writes), so this path stays strictly serial; only
   // the disjoint-pixel quad passes of RenderInternal parallelize.
-  PassContext ctx;
-  ctx.units = units;
-  ctx.program = program_;
-  ctx.pass = &pass;
-  ctx.occlusion = occlusion_active_ ? &occlusion_count_ : nullptr;
-  ctx.profile = pass.profiled;
-  const auto emit = [this, &ctx](const RasterFragment& frag) {
-    ProcessFragment(frag, &ctx);
+  const TailState tail(state_);
+  const GenericPass gp{units, program_, tail,
+                       CompareTable(state_.alpha_test_enabled
+                                        ? state_.alpha_func
+                                        : CompareOp::kAlways),
+                       state_.alpha_ref};
+  RowTally t;
+  const auto emit = [&](const RasterFragment& frag) {
+    GenericFragment(gp, frag, &fb_, &t);
   };
 
   ScissorRect clip{0, 0, fb_.width(), fb_.height()};
@@ -1419,12 +1370,14 @@ Status Device::DrawTriangles(const std::vector<Vertex>& vertices) {
       return FinishPass(std::move(pass));
     }
   }
-  for (size_t t = 0; t + 2 < vertices.size(); t += 3) {
-    const ScreenVertex a = ApplyVertexStage(vertices[t]);
-    const ScreenVertex b = ApplyVertexStage(vertices[t + 1]);
-    const ScreenVertex c = ApplyVertexStage(vertices[t + 2]);
+  for (size_t v = 0; v + 2 < vertices.size(); v += 3) {
+    const ScreenVertex a = ApplyVertexStage(vertices[v]);
+    const ScreenVertex b = ApplyVertexStage(vertices[v + 1]);
+    const ScreenVertex c = ApplyVertexStage(vertices[v + 2]);
     RasterizeTriangle(a, b, c, clip, emit);
   }
+  AddTally(t, tail, pass.profiled, &pass,
+           occlusion_active_ ? &occlusion_count_ : nullptr);
   if (pass.profiled) ApplyPlaneTrafficModel(&pass);
   return FinishPass(std::move(pass));
 }

@@ -327,31 +327,6 @@ class Device {
     explicit TextureSlot(Texture t) : data(std::move(t)) {}
   };
 
-  /// Context shared by all fragments of one tile (one row band of one
-  /// pass). Counters point at tile-local accumulators so concurrent bands
-  /// never touch shared state; FinishPass sees the fixed-order reduction.
-  struct PassContext {
-    std::array<const Texture*, 4> units = {nullptr, nullptr, nullptr,
-                                           nullptr};
-    const FragmentProgram* program = nullptr;
-    PassRecord* pass = nullptr;
-    /// Tile-local pixel pass counter; null when no occlusion query is
-    /// active.
-    uint64_t* occlusion = nullptr;
-    /// Per-pass-constant results hoisted out of the fragment loop for
-    /// fixed-function quads (program == nullptr, constant depth): the
-    /// quantized quad depth and the alpha-test outcome for the constant
-    /// fixed-function alpha of 1.0. Only valid when flat_depth is set
-    /// (RenderInternal); DrawTriangles interpolates depth per fragment.
-    bool flat_depth = false;
-    uint32_t flat_depth_q = 0;
-    bool alpha_fail = false;
-    /// Deep profiling on for this pass (one Profiler::enabled() load per
-    /// pass, taken where the PassRecord is created): gates the per-fragment
-    /// kill counters and selects the profiled kernel instantiation.
-    bool profile = false;
-  };
-
   /// Swaps a texture into video memory if evicted, evicting LRU textures as
   /// needed, and stamps its LRU slot.
   [[nodiscard]] Status EnsureResident(TextureId id);
@@ -360,36 +335,6 @@ class Device {
   /// viewport rectangles at constant depth. `textured` selects whether the
   /// fragment program runs with the bound texture.
   [[nodiscard]] Status RenderInternal(float quad_depth, bool textured);
-
-  /// Runs one rasterized fragment through the program + alpha/stencil/
-  /// depth-bounds/depth chain and the buffer writes. Safe to call from
-  /// worker threads as long as no two concurrent calls share a pixel or a
-  /// PassContext (RenderInternal's row bands guarantee both).
-  void ProcessFragment(const RasterFragment& frag, PassContext* ctx);
-
-  /// The stencil/depth-bounds/depth chain and buffer writes for a fragment
-  /// that survived the program and alpha stages (shared by the general and
-  /// fixed-function fast paths).
-  void ProcessTestedFragment(uint64_t i, uint32_t frag_depth_q,
-                             const std::array<float, 4>& color,
-                             PassContext* ctx);
-
-  /// Specialized kernel for fixed-function quad rows [y_begin, y_end) of
-  /// `rect`: semantically identical to emitting every fragment through
-  /// ProcessFragment, but with the RenderState, plane pointers, and
-  /// counters hoisted into locals so the per-fragment loop stays in
-  /// registers. Same threading contract as ProcessFragment.
-  void RunFixedRows(const ScissorRect& rect, uint32_t y_begin, uint32_t y_end,
-                    PassContext* ctx);
-
-  /// Specialized kernel for quads textured with a depth-copy program
-  /// (FragmentProgram::AsDepthCopy): the texel fetch + normalization +
-  /// quantization run batched per row with bit-identical results to the
-  /// virtual per-fragment Execute path. Same threading contract as
-  /// ProcessFragment.
-  void RunDepthCopyRows(const ScissorRect& rect, uint32_t y_begin,
-                        uint32_t y_end, const CopyToDepthProgram& prog,
-                        const Texture& tex, PassContext* ctx);
 
   /// The worker pool, created on first parallel pass.
   ThreadPool* EnsurePool();

@@ -10,11 +10,9 @@ namespace gpu {
 
 void CopyToDepthProgram::Execute(const FragmentInput& in,
                                  FragmentOutput* out) const {
-  // 1. Texture fetch.
-  const float v = in.tex0->At(in.texel_index, channel_);
-  // 2. Normalization to [0,1] (double internally; see header).
-  // 3. Copy to fragment depth.
-  out->depth = static_cast<float>((static_cast<double>(v) - offset_) * scale_);
+  // 1. Texture fetch. 2. Normalization to [0,1] (double internally; see
+  // header). 3. Copy to fragment depth.
+  out->depth = DepthCopyStage(*this, *in.tex0).Depth<float>(in.texel_index);
   out->depth_written = true;
 }
 
@@ -24,14 +22,11 @@ SemilinearProgram::SemilinearProgram(const std::array<float, 4>& weights,
 
 void SemilinearProgram::Execute(const FragmentInput& in,
                                 FragmentOutput* out) const {
-  const Texture& tex = *in.tex0;
-  float dot = 0.0f;
-  for (int c = 0; c < tex.channels(); ++c) {
-    dot += weights_[c] * tex.At(in.texel_index, c);
-  }
+  const SemilinearStage stage(*this, *in.tex0);
+  const float dot = stage.Dot<float>(in.texel_index);
   // KILL fragments failing the comparison; survivors carry the dot product in
   // the red channel for debugging/inspection.
-  if (!EvalCompare(op_, dot, b_)) {
+  if (!stage.Keep(dot)) {
     out->discarded = true;
     return;
   }
@@ -40,14 +35,8 @@ void SemilinearProgram::Execute(const FragmentInput& in,
 
 void TestBitProgram::Execute(const FragmentInput& in,
                              FragmentOutput* out) const {
-  const float v = in.tex0->At(in.texel_index, channel_);
-  // alpha = frac(v / 2^(bit+1)); for non-negative integers v this is >= 0.5
-  // iff bit `bit_` of v is set (paper Section 4.3.3). Computed in float32 as
-  // the hardware would: v <= 2^24 is exact in fp32 and dividing by a power of
-  // two is exact, so frac() is exact as well.
-  const float scaled = v / std::exp2f(static_cast<float>(bit_ + 1));
-  const float frac = scaled - std::floor(scaled);
-  out->color = {0.0f, 0.0f, 0.0f, frac};
+  out->color = {0.0f, 0.0f, 0.0f,
+                TestBitStage(*this, *in.tex0).Alpha<float>(in.texel_index)};
 }
 
 void TestBitKillProgram::Execute(const FragmentInput& in,

@@ -2,9 +2,12 @@
 #define GPUDB_GPU_FRAGMENT_PROGRAM_H_
 
 #include <array>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string_view>
 
+#include "src/gpu/lanes.h"
 #include "src/gpu/texture.h"
 #include "src/gpu/types.h"
 
@@ -45,6 +48,8 @@ struct FragmentOutput {
 /// `fragments x instructions / (pipes x clock)` per pass exactly as the
 /// paper's utilization analysis does (Section 6.2.2).
 class CopyToDepthProgram;
+class SemilinearProgram;
+class TestBitProgram;
 
 class FragmentProgram {
  public:
@@ -56,16 +61,52 @@ class FragmentProgram {
   /// Number of fragment-program instructions executed per fragment.
   virtual int instruction_count() const = 0;
 
+  /// Pass label. Must view static storage (a string literal): the
+  /// device's pass log keeps the view for its whole life.
   virtual std::string_view name() const = 0;
 
-  /// Self-identification hook for the device's specialized span kernels (a
-  /// driver recognizing a common shader pattern): non-null when this
-  /// program is a CopyToDepth, whose per-fragment work the device can then
-  /// run batched -- with bit-identical results -- instead of through the
-  /// virtual Execute. Purely an execution strategy; the cost model still
-  /// charges the program's instruction count per fragment.
+  /// Self-identification hooks for the device's staged row kernel (a
+  /// driver recognizing a common shader pattern, DESIGN.md §14): non-null
+  /// when this program's per-fragment work is one of the fragment stages
+  /// below, which the device then runs batched -- with bit-identical
+  /// results -- instead of through the virtual Execute. Purely an execution
+  /// strategy; the cost model still charges the program's instruction count
+  /// per fragment. A program without a hook runs the generic path.
   virtual const CopyToDepthProgram* AsDepthCopy() const { return nullptr; }
+  virtual const SemilinearProgram* AsSemilinear() const { return nullptr; }
+  virtual const TestBitProgram* AsTestBit() const { return nullptr; }
 };
+
+// --- Fragment stages ---------------------------------------------------------
+//
+// A stage is a program's per-fragment arithmetic bound to its texture for
+// one pass: a pure function of the texel index that reads texels and
+// nothing else. Its methods are templates over F = float (one fragment, for
+// the program's Execute) and F = FloatLanes (fragments i..i+3, for the
+// device's staged row kernel; see lanes.h), so each program's arithmetic has
+// exactly one definition. Types named *Stage are band-parallel kernel code
+// (gpulint R9).
+
+/// Channel `c` of texel i (F = float) or of texels i..i+3 (F = FloatLanes)
+/// in an interleaved texel array of `stride` channels.
+template <typename F>
+F FetchTexel(const float* texels, uint64_t stride, uint64_t i, uint64_t c);
+template <>
+inline float FetchTexel<float>(const float* texels, uint64_t stride,
+                               uint64_t i, uint64_t c) {
+  return texels[i * stride + c];
+}
+template <>
+inline FloatLanes FetchTexel<FloatLanes>(const float* texels, uint64_t stride,
+                                         uint64_t i, uint64_t c) {
+  const float* t = texels + i * stride + c;
+  if (stride == 1) {  // one-attribute textures: one unaligned load
+    FloatLanes v;
+    std::memcpy(&v, t, sizeof(v));
+    return v;
+  }
+  return FloatLanes{t[0], t[stride], t[2 * stride], t[3 * stride]};
+}
 
 /// \brief CopyToDepth (Routine 4.1): fetch the texel channel, normalize it to
 /// [0,1], and write it to the fragment depth.
@@ -102,6 +143,31 @@ class CopyToDepthProgram : public FragmentProgram {
   double offset_;
 };
 
+/// CopyToDepth's stage: fetch, then normalize in double and round once to
+/// the float32 fragment depth.
+class DepthCopyStage {
+ public:
+  DepthCopyStage(const CopyToDepthProgram& program, const Texture& tex)
+      : texels_(tex.data().data()),
+        channels_(static_cast<uint64_t>(tex.channels())),
+        channel_(static_cast<uint64_t>(program.channel())),
+        scale_(program.scale()),
+        offset_(program.offset()) {}
+
+  template <typename F>
+  F Depth(uint64_t i) const {
+    const F v = FetchTexel<F>(texels_, channels_, i, channel_);
+    return Narrow((Widen(v) - offset_) * scale_);
+  }
+
+ private:
+  const float* texels_;
+  uint64_t channels_;
+  uint64_t channel_;
+  double scale_;
+  double offset_;
+};
+
 /// \brief The planner's fused copy+compare pass program (DESIGN.md §14):
 /// byte-for-byte the CopyToDepth program -- same 3 instructions, same
 /// double-precision normalization -- but rendered with the depth function
@@ -127,10 +193,48 @@ class SemilinearProgram final : public FragmentProgram {
   // DP4 + compare/KILL sequence: fetch, dot product, set-on-compare, kill.
   int instruction_count() const override { return 4; }
   std::string_view name() const override { return "SemilinearFP"; }
+  const SemilinearProgram* AsSemilinear() const override { return this; }
+
+  const std::array<float, 4>& weights() const { return weights_; }
+  CompareOp op() const { return op_; }
+  float b() const { return b_; }
 
  private:
   std::array<float, 4> weights_;
   CompareOp op_;
+  float b_;
+};
+
+/// Semilinear's stage: the dot product over the texture's channels (in
+/// channel order, from 0.0f) and the KILL verdict `dot op b`.
+class SemilinearStage {
+ public:
+  SemilinearStage(const SemilinearProgram& program, const Texture& tex)
+      : texels_(tex.data().data()),
+        channels_(static_cast<uint64_t>(tex.channels())),
+        weights_(program.weights()),
+        keep_(program.op()),
+        b_(program.b()) {}
+
+  template <typename F>
+  F Dot(uint64_t i) const {
+    F dot = Splat<F>(0.0f);
+    for (uint64_t c = 0; c < channels_; ++c) {
+      dot += weights_[c] * FetchTexel<F>(texels_, channels_, i, c);
+    }
+    return dot;
+  }
+  /// False (a 0 lane) when the program KILLs the fragment.
+  template <typename F>
+  auto Keep(F dot) const {
+    return keep_(dot, Splat<F>(b_));
+  }
+
+ private:
+  const float* texels_;
+  uint64_t channels_;
+  std::array<float, 4> weights_;
+  CompareTable keep_;
   float b_;
 };
 
@@ -149,10 +253,39 @@ class TestBitProgram final : public FragmentProgram {
   // instructions to test if the i-th bit of a texel is 1".
   int instruction_count() const override { return 5; }
   std::string_view name() const override { return "TestBitFP"; }
+  const TestBitProgram* AsTestBit() const override { return this; }
+
+  int channel() const { return channel_; }
+  int bit() const { return bit_; }
 
  private:
   int channel_;
   int bit_;
+};
+
+/// TestBit's stage: alpha = frac(v / 2^(bit+1)); for non-negative integers
+/// v this is >= 0.5 iff bit `bit` of v is set (paper Section 4.3.3).
+/// Computed in float32 as the hardware would: v <= 2^24 is exact in fp32
+/// and dividing by a power of two is exact, so frac() is exact as well.
+class TestBitStage {
+ public:
+  TestBitStage(const TestBitProgram& program, const Texture& tex)
+      : texels_(tex.data().data()),
+        channels_(static_cast<uint64_t>(tex.channels())),
+        channel_(static_cast<uint64_t>(program.channel())),
+        divisor_(std::exp2f(static_cast<float>(program.bit() + 1))) {}
+
+  template <typename F>
+  F Alpha(uint64_t i) const {
+    const F scaled = FetchTexel<F>(texels_, channels_, i, channel_) / divisor_;
+    return scaled - FloorExact(scaled);
+  }
+
+ private:
+  const float* texels_;
+  uint64_t channels_;
+  uint64_t channel_;
+  float divisor_;
 };
 
 /// \brief Ablation variant of TestBit that rejects failing fragments with

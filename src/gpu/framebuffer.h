@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/gpu/lanes.h"
+
 namespace gpudb {
 namespace gpu {
 
@@ -15,6 +17,25 @@ namespace gpu {
 inline constexpr int kDepthBits = 24;
 inline constexpr uint32_t kDepthMax = (1u << kDepthBits) - 1;
 
+/// Quantizes a normalized depth in [0,1] to a fixed-point depth buffer
+/// whose largest code is `depth_max`. The multiply-and-round runs in double
+/// precision (see QuantizeDepth below); NaN quantizes to 0.
+inline uint32_t QuantizeDepth(float d, uint32_t depth_max) {
+  if (!(d > 0.0f)) return 0;
+  if (d >= 1.0f) return depth_max;
+  // round-to-nearest, as GL implementations do when converting to fixed point
+  return static_cast<uint32_t>(static_cast<double>(d) * depth_max + 0.5);
+}
+
+/// QuantizeDepth on four lanes: clamping to [0,1] first gives the same code
+/// for every input (1 rounds to depth_max, 0 and NaN to 0).
+inline IntLanes QuantizeDepth(FloatLanes d, uint32_t depth_max) {
+  const FloatLanes zero = {};
+  const FloatLanes one = Splat<FloatLanes>(1.0f);
+  const FloatLanes clamped = d > zero ? (d < one ? d : one) : zero;
+  return TruncateToInt(Widen(clamped) * static_cast<double>(depth_max) + 0.5);
+}
+
 /// Quantizes a normalized depth in [0,1] to the 24-bit fixed point value a
 /// real depth buffer stores.
 ///
@@ -22,12 +43,7 @@ inline constexpr uint32_t kDepthMax = (1u << kDepthBits) - 1;
 /// high-precision fixed-point depth path: for every 24-bit integer v, the
 /// float32 value nearest to v/(2^24-1) quantizes back to exactly v (error
 /// bound v * 2^-25 < 0.5), which is what keeps integer comparisons exact.
-inline uint32_t QuantizeDepth(float d) {
-  if (d <= 0.0f) return 0;
-  if (d >= 1.0f) return kDepthMax;
-  // round-to-nearest, as GL implementations do when converting to fixed point
-  return static_cast<uint32_t>(static_cast<double>(d) * kDepthMax + 0.5);
-}
+inline uint32_t QuantizeDepth(float d) { return QuantizeDepth(d, kDepthMax); }
 
 /// Inverse of QuantizeDepth (exact for quantized values).
 inline float DepthToFloat(uint32_t q) {
@@ -64,11 +80,7 @@ class FrameBuffer {
   uint32_t depth_max() const { return depth_max_; }
 
   /// Quantizes a normalized depth to this buffer's precision.
-  uint32_t Quantize(float d) const {
-    if (d <= 0.0f) return 0;
-    if (d >= 1.0f) return depth_max_;
-    return static_cast<uint32_t>(static_cast<double>(d) * depth_max_ + 0.5);
-  }
+  uint32_t Quantize(float d) const { return QuantizeDepth(d, depth_max_); }
 
   void ClearColor(float r, float g, float b, float a);
   /// Clears depth to a normalized value (default 1.0, the far plane).

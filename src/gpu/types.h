@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <string_view>
 
+#include "src/gpu/lanes.h"
+
 namespace gpudb {
 namespace gpu {
 
@@ -48,6 +50,43 @@ inline bool EvalCompare(CompareOp op, T lhs, T rhs) {
   }
   return false;
 }
+
+/// \brief A CompareOp reduced to its truth table over the orderings of two
+/// operands, so a per-fragment loop evaluates `lhs op rhs` without
+/// branching on `op`. Agrees with EvalCompare for every input: unordered
+/// (NaN) operands satisfy only kNotEqual and kAlways.
+struct CompareTable {
+  bool lt = false;
+  bool eq = false;
+  bool gt = false;
+  bool unordered = false;
+
+  explicit CompareTable(CompareOp op)
+      : lt(op == CompareOp::kLess || op == CompareOp::kLessEqual ||
+           op == CompareOp::kNotEqual || op == CompareOp::kAlways),
+        eq(op == CompareOp::kEqual || op == CompareOp::kLessEqual ||
+           op == CompareOp::kGreaterEqual || op == CompareOp::kAlways),
+        gt(op == CompareOp::kGreater || op == CompareOp::kGreaterEqual ||
+           op == CompareOp::kNotEqual || op == CompareOp::kAlways),
+        unordered(op == CompareOp::kNotEqual || op == CompareOp::kAlways) {}
+
+  template <typename T>
+  bool operator()(T lhs, T rhs) const {
+    const bool l = lhs < rhs;
+    const bool e = lhs == rhs;
+    const bool g = lhs > rhs;
+    return (lt & l) | (eq & e) | (gt & g) | (unordered & !(l | e | g));
+  }
+  /// Four lanes at once: a 0 / -1 mask per lane.
+  IntLanes operator()(FloatLanes lhs, FloatLanes rhs) const {
+    const auto all = [](bool b) { return IntLanes{} - int32_t{b}; };
+    const IntLanes l = lhs < rhs;
+    const IntLanes e = lhs == rhs;
+    const IntLanes g = lhs > rhs;
+    return (l & all(lt)) | (e & all(eq)) | (g & all(gt)) |
+           (~(l | e | g) & all(unordered));
+  }
+};
 
 /// Logical negation of a comparison: NOT (x op y) == (x Invert(op) y).
 /// Used by the CNF rewriter to eliminate NOT operators (Section 4.2: "If a

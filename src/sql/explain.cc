@@ -234,7 +234,8 @@ Result<QueryResult> ExecuteAnalyze(core::Executor* executor,
   const bool profiler_was_enabled = profiler.enabled();
   if (query.explain_profile) profiler.set_enabled(true);
   const size_t mark = tracer.FinishedCount();
-  const gpu::DeviceCounters before = executor->device().counters();
+  const gpu::CounterMark before =
+      gpu::CounterMark::Of(executor->device().counters());
 
   QueryResult result;
   Status status = Status::OK();

@@ -242,7 +242,7 @@ Result<QueryResult> Session::RunUserTable(std::string_view sql,
   GPUDB_ASSIGN_OR_RETURN(core::Executor* exec, ExecutorForLocked(table_name));
   // Stats may have been (re)collected since the executor was cached.
   exec->set_table_stats(catalog_->Stats(table_name));
-  const gpu::DeviceCounters before = device_->counters();
+  const gpu::CounterMark before = gpu::CounterMark::Of(device_->counters());
   Result<QueryResult> result = RunUserStatement(sql, table_name, exec);
   *counters_out = gpu::DeltaSince(before, device_->counters());
   return result;

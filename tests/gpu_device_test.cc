@@ -570,7 +570,9 @@ TEST(DeviceTest, PassLogEntriesSatisfyInvariants) {
 TEST(DeviceTest, DeltaSinceIsolatesTheWindow) {
   Device dev(4, 4);
   ASSERT_OK(dev.RenderQuad(0.5f));
-  const DeviceCounters before = dev.counters();
+  const CounterMark before = CounterMark::Of(dev.counters());
+  EXPECT_EQ(before.log_size, 1u);
+  EXPECT_TRUE(before.totals.pass_log.empty());
   dev.SetDepthTest(true, CompareOp::kAlways);
   ASSERT_OK(dev.RenderQuad(0.5f));
   (void)dev.ReadStencil();

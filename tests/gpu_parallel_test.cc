@@ -108,8 +108,8 @@ Snapshot RunScenario(int threads, const std::vector<uint32_t>& ints,
   return snap;
 }
 
-void ExpectPassLogsEqual(const std::vector<gpu::PassRecord>& serial,
-                         const std::vector<gpu::PassRecord>& parallel,
+void ExpectPassLogsEqual(const gpu::PassLog& serial,
+                         const gpu::PassLog& parallel,
                          const std::string& what) {
   ASSERT_EQ(serial.size(), parallel.size()) << what;
   for (size_t i = 0; i < serial.size(); ++i) {
@@ -127,6 +127,7 @@ void ExpectPassLogsEqual(const std::vector<gpu::PassRecord>& serial,
     // and the same cache lookups hit no matter the worker count.
     EXPECT_EQ(a.fused, b.fused) << what << " pass " << i;
     EXPECT_EQ(a.cache_hit, b.cache_hit) << what << " pass " << i;
+    EXPECT_EQ(a.kernel, b.kernel) << what << " pass " << i;
     // gpuprof deep counters ride the same band reduction, so they obey the
     // same bit-stability contract (all-zero on both sides when profiling
     // was off).

@@ -695,7 +695,7 @@ TEST(GpulintR9, ResolvesWorkerLambdasPassedByName) {
   EXPECT_NE(diags[0].message.find("run_band"), std::string::npos);
 }
 
-TEST(GpulintR9, QuadRowKernelBodiesAreScanned) {
+TEST(GpulintR9, RowKernelBodiesAreScanned) {
   Corpus c;
   c.Add("src/gpu/thread_pool.h",
         "class ThreadPool {\n"
@@ -703,12 +703,40 @@ TEST(GpulintR9, QuadRowKernelBodiesAreScanned) {
         "  int job_size_ GUARDED_BY(mu_);\n"
         "};\n");
   c.Add("src/gpu/device.cc",
-        "void QuadRowKernel(FrameBuffer* fb) {\n"
+        "template <typename Stage>\n"
+        "void StagedRowKernel(const Stage& stage, FrameBuffer* fb) {\n"
         "  fb->Write(job_size_);\n"
         "}\n");
   const auto diags = RunR9(c.Finalize());
   ASSERT_EQ(diags.size(), 1u);
-  EXPECT_NE(diags[0].message.find("QuadRowKernel"), std::string::npos);
+  EXPECT_NE(diags[0].message.find("StagedRowKernel"), std::string::npos);
+}
+
+TEST(GpulintR9, FragmentStageBodiesAreScanned) {
+  Corpus c;
+  c.Add("src/common/metrics.h",
+        "class MetricsRegistry {\n"
+        "  Mutex mu_;\n"
+        "  std::map<std::string, Counter> counters_by_name_ GUARDED_BY(mu_);\n"
+        "};\n");
+  // A stage's inline member touching a guarded field, and an out-of-line
+  // member of another stage doing the same: both are kernel code.
+  c.Add("src/gpu/fragment_program.h",
+        "class TestBitStage {\n"
+        " public:\n"
+        "  template <typename F>\n"
+        "  F Alpha(uint64_t i) const {\n"
+        "    return Fetch<F>(i) + counters_by_name_.size();\n"
+        "  }\n"
+        "};\n");
+  c.Add("src/gpu/fragment_program.cc",
+        "float SemilinearStage::Dot(uint64_t i) const {\n"
+        "  return counters_by_name_.size();\n"
+        "}\n");
+  const auto diags = RunR9(c.Finalize());
+  ASSERT_EQ(diags.size(), 2u);
+  EXPECT_NE(diags[0].message.find("TestBitStage"), std::string::npos);
+  EXPECT_NE(diags[1].message.find("SemilinearStage::Dot"), std::string::npos);
 }
 
 TEST(GpulintR9, SameNameUnguardedFieldInTheFilePairShadows) {
@@ -726,7 +754,7 @@ TEST(GpulintR9, SameNameUnguardedFieldInTheFilePairShadows) {
         "  DeviceCounters counters_;\n"
         "};\n");
   c.Add("src/gpu/device.cc",
-        "void QuadRowKernel(Device* d) {\n"
+        "void StagedRowKernel(Device* d) {\n"
         "  d->counters_.fragments += 1;\n"
         "}\n");
   EXPECT_TRUE(RunR9(c.Finalize()).empty());

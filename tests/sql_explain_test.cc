@@ -83,7 +83,7 @@ TEST_F(ExplainAnalyzeTest, SelfMsSumsToPerfModelTotal) {
   // The acceptance criterion of the observability layer: per-operator
   // simulated self-time telescopes to the PerfModel total of the query's
   // full counter delta.
-  const gpu::DeviceCounters before = device_.counters();
+  const gpu::CounterMark before = gpu::CounterMark::Of(device_.counters());
   ASSERT_OK_AND_ASSIGN(
       QueryResult r,
       ExecuteSql(executor_.get(),

@@ -569,10 +569,23 @@ std::vector<Diagnostic> RunR9(const Program& program) {
                          &out);
       }
     }
+    // The staged row kernel and its fragment stages, by naming convention
+    // (DESIGN.md §12): functions named *RowKernel, and every member of a
+    // type named *Stage, whether defined in the class body or out of line.
     for (const FunctionDef& f : file->functions()) {
-      if (f.name != "QuadRowKernel") continue;
-      CheckKernelRange(program, *file, shadowed, f.line, "QuadRowKernel",
+      if (!EndsWith(f.name, "RowKernel") && !EndsWith(f.qualifier, "Stage")) {
+        continue;
+      }
+      const std::string what =
+          f.qualifier.empty() ? f.name : f.qualifier + "::" + f.name;
+      CheckKernelRange(program, *file, shadowed, f.line, what,
                        f.body_begin + 1, f.body_end, &out);
+    }
+    for (const ClassInfo& cls : file->classes()) {
+      if (!EndsWith(cls.name, "Stage")) continue;
+      CheckKernelRange(program, *file, shadowed, cls.line,
+                       "fragment stage '" + cls.name + "'", cls.body_begin,
+                       cls.body_end, &out);
     }
   }
   return out;
@@ -619,9 +632,9 @@ const std::map<std::string, std::string>& RuleDescriptions() {
        "never nest same-subsystem locks, and never invoke listeners or "
        "callbacks under a lock"},
       {"R9",
-       "band-parallel kernels (QuadRowKernel, ParallelFor bodies) never "
-       "touch GUARDED_BY fields; workers synchronize only through the "
-       "pool protocol"},
+       "band-parallel kernels (*RowKernel functions, *Stage fragment "
+       "stages, ParallelFor bodies) never touch GUARDED_BY fields; workers "
+       "synchronize only through the pool protocol"},
   };
   return kRules;
 }

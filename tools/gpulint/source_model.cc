@@ -505,6 +505,8 @@ void SourceModel::ScanClassBody(const std::string& class_name, int class_line,
   ClassInfo cls;
   cls.name = class_name;
   cls.line = class_line;
+  cls.body_begin = body_begin;
+  cls.body_end = body_end;
   std::vector<size_t> stmt;  // token indices of the current statement
   size_t i = body_begin;
   while (i < body_end && i < tokens_.size()) {

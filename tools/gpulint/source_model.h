@@ -77,6 +77,9 @@ struct MemberField {
 struct ClassInfo {
   std::string name;
   int line = 0;
+  size_t body_begin = 0;  // index of the first token after '{'
+  size_t body_end = 0;    // index of the matching '}'
+
   bool owns_mutex = false;
   std::vector<MemberField> fields;
 };
