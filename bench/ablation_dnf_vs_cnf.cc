@@ -25,8 +25,7 @@ int Run() {
   const db::Table& table = TcpIpTable();
   constexpr size_t n = 1'000'000;
   gpu::PerfModel model;
-  std::printf("%-8s %12s %12s %14s %14s %10s %8s\n", "k-terms", "dnf_preds",
-              "cnf_preds", "dnf_model_ms", "cnf_model_ms", "ratio", "check");
+  PrintRowHeader();
 
   for (int k = 2; k <= 4; ++k) {
     // Alert rule: OR over k patterns "attr_i > t_i AND attr_j <= u_j".
@@ -66,23 +65,38 @@ int Run() {
       clauses.push_back(c);
     }
 
-    device->ResetCounters();
-    auto dnf_sel = core::EvalDnf(device.get(), terms);
-    if (!dnf_sel.ok()) return 1;
-    const double dnf_ms = model.EstimateMs(device->counters());
-
-    device->ResetCounters();
-    auto cnf_sel = core::EvalCnf(device.get(), clauses);
-    if (!cnf_sel.ok()) return 1;
-    const double cnf_ms = model.EstimateMs(device->counters());
-
-    std::printf("%-8d %12zu %12zu %14.3f %14.3f %9.2fx %8s\n", k,
+    // One row per strategy, each priced by the model over its own passes.
+    auto measure = [&](const char* strategy, auto&& eval,
+                       uint64_t* count) -> Result<ResultRow> {
+      device->ResetCounters();
+      Timer timer;
+      GPUDB_ASSIGN_OR_RETURN(core::StencilSelection sel, eval());
+      ResultRow row;
+      row.label = "k=" + std::to_string(k) + " " + strategy;
+      row.gpu_wall_ms = timer.ElapsedMs();
+      const gpu::GpuTimeBreakdown b = model.Estimate(device->counters());
+      row.gpu_model_total_ms = b.TotalMs();
+      row.gpu_model_compute_ms = b.ComputeMs();
+      *count = sel.count;
+      return row;
+    };
+    uint64_t dnf_count = 0;
+    uint64_t cnf_count = 0;
+    auto dnf_row = measure(
+        "dnf", [&] { return core::EvalDnf(device.get(), terms); }, &dnf_count);
+    auto cnf_row = measure(
+        "cnf", [&] { return core::EvalCnf(device.get(), clauses); },
+        &cnf_count);
+    if (!dnf_row.ok() || !cnf_row.ok()) return 1;
+    ResultRow& d = dnf_row.ValueOrDie();
+    ResultRow& c = cnf_row.ValueOrDie();
+    d.check_passed = c.check_passed = dnf_count == cnf_count;
+    PrintRow(d);
+    PrintRow(c);
+    std::printf("    predicates: dnf=%zu cnf=%zu, cnf/dnf model time %.2fx\n",
                 dnf.ValueOrDie().predicate_count(),
-                cnf.ValueOrDie().predicate_count(), dnf_ms, cnf_ms,
-                cnf_ms / dnf_ms,
-                dnf_sel.ValueOrDie().count == cnf_sel.ValueOrDie().count
-                    ? "OK"
-                    : "FAIL");
+                cnf.ValueOrDie().predicate_count(),
+                c.gpu_model_total_ms / d.gpu_model_total_ms);
   }
   PrintFooter(
       "The CNF predicate count grows as 2^k while the DNF stays at 2k, and "

@@ -48,7 +48,7 @@ int Run() {
       opts.table_version = 1;
       device->ResetCounters();
       Timer timer;
-      auto sel = core::EvalCnfPlanned(device.get(), clauses, &opts);
+      auto sel = core::EvalCnf(device.get(), clauses, &opts);
       const double wall = timer.ElapsedMs();
       if (!sel.ok()) return 1;
       const double ms = model.EstimateMs(device->counters());

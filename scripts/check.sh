@@ -8,7 +8,8 @@
 #      of src/common/thread_annotations.h. First, so rule violations fail
 #      before any build time is spent,
 #   1. the standard build + full ctest run (what CI gates on),
-#   2. a bench smoke run of every figure bench with a committed baseline,
+#   2. a bench smoke run of every figure and ablation bench with a
+#      committed baseline,
 #      diffed against bench/baseline (model-time regression gate; see
 #      scripts/bench_diff.py), then fig03 again under --profile with
 #      scripts/profile_smoke.py asserting the gpuprof counters are nonzero,
@@ -75,7 +76,8 @@ smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 for bench in fig02_copy_depth fig03_predicate fig04_range fig05_multiattr \
              fig06_semilinear fig07_kth_vs_k fig08_median \
-             fig09_kth_selectivity fig10_accumulator fig_hotcolumn; do
+             fig09_kth_selectivity fig10_accumulator fig_hotcolumn \
+             ablation_cnf_conjunction ablation_dnf_vs_cnf; do
   GPUDB_BENCH_JSON_DIR="$smoke_dir" "./build/bench/$bench" >/dev/null
 done
 python3 scripts/bench_diff.py bench/baseline "$smoke_dir"

@@ -145,12 +145,20 @@ Result<uint64_t> RangeCount(const db::Table& table, std::string_view column,
     return Status::InvalidArgument("range query with low > high");
   }
   const db::Column& c = table.column(col);
-  // Mirror the depth-bounds test exactly: compare 24-bit quantized depths,
-  // not raw floats, so fractional bounds truncate identically on both tiers.
   const DepthEncoding enc = DepthEncoding::ForColumn(c);
+  uint64_t count = 0;
+  if (enc.exact_int) {
+    // The GPU restates integer bounds exactly (DepthEncoding::ExactBounds),
+    // so both tiers answer the comparison itself.
+    for (float v : c.values()) {
+      if (v >= low && v <= high) ++count;
+    }
+    return count;
+  }
+  // Float columns: mirror the depth-bounds test, which compares 24-bit
+  // quantized depths, so both tiers round the bounds identically.
   const uint32_t lo = enc.EncodeQuantized(low);
   const uint32_t hi = enc.EncodeQuantized(high);
-  uint64_t count = 0;
   for (float v : c.values()) {
     const uint32_t d = enc.EncodeQuantized(v);
     if (d >= lo && d <= hi) ++count;

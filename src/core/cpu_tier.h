@@ -46,7 +46,8 @@ namespace cpu_tier {
                                           std::string_view column, uint64_t k,
                                           const predicate::ExprPtr& where);
 
-/// Range count with the depth-bounds quantization mirrored exactly.
+/// Range count: exact on integer columns; on float columns it mirrors the
+/// depth-bounds quantization of the GPU tier.
 [[nodiscard]] Result<uint64_t> RangeCount(const db::Table& table,
                                           std::string_view column, double low,
                                           double high);

@@ -2,9 +2,11 @@
 #define GPUDB_CORE_DEPTH_ENCODING_H_
 
 #include <cstdint>
+#include <utility>
 
 #include "src/db/column.h"
 #include "src/gpu/framebuffer.h"
+#include "src/gpu/types.h"
 
 namespace gpudb {
 namespace core {
@@ -26,6 +28,34 @@ namespace core {
 struct DepthEncoding {
   double scale = 1.0;
   double offset = 0.0;
+  /// Set by the exact integer encodings (ExactInt24, ExactInt): the
+  /// attribute holds integers in [0, 1 / scale], each stored as its own
+  /// depth code.
+  bool exact_int = false;
+
+  /// A comparison `attribute op constant` as the depth test runs it.
+  struct Comparison {
+    gpu::CompareOp op;
+    double constant;
+  };
+
+  /// \brief `attribute op constant`, restated so the depth test answers it
+  /// exactly. Under an exact integer encoding a fractional or out-of-domain
+  /// constant would be rounded or clamped onto a neighbouring depth code,
+  /// changing the answer; it becomes the equivalent comparison against an
+  /// integer of the domain: `x > 4.5` -> `x >= 5`, `x > -1` -> `x >= 0`
+  /// (every record), `x = 5.5` -> `x < 0` (none). In-domain integer
+  /// constants, and every constant under other encodings, come back
+  /// unchanged. Either way it stays one comparison, so the pass sequence
+  /// never changes.
+  Comparison ExactCompare(gpu::CompareOp op, double constant) const;
+
+  /// \brief The depth-bounds interval for `low <= attribute <= high`, with
+  /// the same exactness: under an exact integer encoding the bounds become
+  /// [ceil(low), floor(high)] clipped to the domain, and an interval
+  /// holding no integer becomes [1, 0], which the bounds test passes for no
+  /// record. Other encodings get the bounds unchanged.
+  std::pair<double, double> ExactBounds(double low, double high) const;
 
   /// Normalized (unclamped) depth for an attribute value.
   float Encode(double value) const {

@@ -221,8 +221,10 @@ Result<std::vector<GpuClause>> Executor::Lower(
             tex, SemilinearQuery::AttrCompare(0, p.op, 1)));
       } else {
         GPUDB_ASSIGN_OR_RETURN(AttributeBinding binding, BindingFor(p.attr));
+        const DepthEncoding::Comparison exact =
+            binding.encoding.ExactCompare(p.op, p.constant);
         lowered.push_back(
-            GpuPredicate::DepthCompare(binding, p.op, p.constant));
+            GpuPredicate::DepthCompare(binding, exact.op, exact.constant));
       }
     }
     clauses.push_back(std::move(lowered));
@@ -232,7 +234,6 @@ Result<std::vector<GpuClause>> Executor::Lower(
 
 Result<StencilSelection> Executor::Where(const predicate::ExprPtr& expr) {
   OpCounter("where").Increment();
-  last_exec_ = SelectionExecOptions{};  // no stale outcome on early paths
   GpuOpSpan op("Where", device_);
   op.AddTag("rows", table_->num_rows());
   // With ANALYZE statistics attached, estimate the result cardinality up
@@ -283,7 +284,7 @@ Result<StencilSelection> Executor::Where(const predicate::ExprPtr& expr) {
     op.AddTag("clauses", clauses.size());
     exec.plan =
         PlanSelectionPasses(clauses, plan_options_.fusion, use_cache);
-    GPUDB_ASSIGN_OR_RETURN(sel, EvalCnfPlanned(device_, clauses, &exec));
+    GPUDB_ASSIGN_OR_RETURN(sel, EvalCnf(device_, clauses, &exec));
   } else {
     GPUDB_ASSIGN_OR_RETURN(std::vector<GpuTerm> terms,
                            Lower(dnf.ValueOrDie().terms));
@@ -294,7 +295,7 @@ Result<StencilSelection> Executor::Where(const predicate::ExprPtr& expr) {
     exec.plan = PlanSelectionPasses(terms, plan_options_.fusion, use_cache);
     exec.plan.chain = false;
     exec.plan.fused_count = false;
-    GPUDB_ASSIGN_OR_RETURN(sel, EvalDnfPlanned(device_, terms, &exec));
+    GPUDB_ASSIGN_OR_RETURN(sel, EvalDnf(device_, terms, &exec));
   }
   if (exec.plan.Rewritten()) {
     MetricsRegistry::Global().counter("planner.fused_plans").Increment();
@@ -307,7 +308,6 @@ Result<StencilSelection> Executor::Where(const predicate::ExprPtr& expr) {
                            ? "hit"
                            : (exec.cache_hits == 0 ? "miss" : "mixed"));
   }
-  last_exec_ = exec;
   op.AddTag("selected", sel.count);
   op.AddTag("selectivity", Selectivity(sel.count));
   if (have_stats) {
@@ -325,21 +325,21 @@ Result<StencilSelection> Executor::Where(const predicate::ExprPtr& expr) {
 Result<uint64_t> Executor::Count(const predicate::ExprPtr& where) {
   return RunResilient<uint64_t>(
       "count", [&] { return CountGpu(where); },
-      [&] { return CpuCount(where); });
+      [&] { return cpu_tier::Count(*table_, where); });
 }
 
 Result<std::vector<uint8_t>> Executor::SelectBitmap(
     const predicate::ExprPtr& where) {
   return RunResilient<std::vector<uint8_t>>(
       "select_bitmap", [&] { return SelectBitmapGpu(where); },
-      [&] { return CpuSelectionMask(where); });
+      [&] { return cpu_tier::SelectionMask(*table_, where); });
 }
 
 Result<std::vector<uint32_t>> Executor::SelectRowIds(
     const predicate::ExprPtr& where) {
   return RunResilient<std::vector<uint32_t>>(
       "select_row_ids", [&] { return SelectRowIdsGpu(where); },
-      [&] { return CpuRowIds(where); });
+      [&] { return cpu_tier::RowIds(*table_, where); });
 }
 
 Result<std::vector<std::pair<uint32_t, uint32_t>>> Executor::TopK(
@@ -354,14 +354,14 @@ Result<double> Executor::Aggregate(AggregateKind kind, std::string_view column,
                                    const predicate::ExprPtr& where) {
   return RunResilient<double>(
       "aggregate", [&] { return AggregateGpu(kind, column, where); },
-      [&] { return CpuAggregate(kind, column, where); });
+      [&] { return cpu_tier::Aggregate(*table_, kind, column, where); });
 }
 
 Result<uint32_t> Executor::KthLargest(std::string_view column, uint64_t k,
                                       const predicate::ExprPtr& where) {
   return RunResilient<uint32_t>(
       "kth_largest", [&] { return KthLargestGpu(column, k, where); },
-      [&] { return CpuKthLargest(column, k, where); });
+      [&] { return cpu_tier::KthLargest(*table_, column, k, where); });
 }
 
 Result<std::vector<uint32_t>> Executor::OrderByRowIds(std::string_view column,
@@ -374,7 +374,7 @@ Result<uint64_t> Executor::RangeCount(std::string_view column, double low,
                                       double high) {
   return RunResilient<uint64_t>(
       "range_count", [&] { return RangeCountGpu(column, low, high); },
-      [&] { return CpuRangeCount(column, low, high); });
+      [&] { return cpu_tier::RangeCount(*table_, column, low, high); });
 }
 
 Result<uint64_t> Executor::SemilinearCount(
@@ -634,43 +634,6 @@ Result<std::vector<uint32_t>> Executor::QuantilesGpu(std::string_view column,
   }
   GPUDB_ASSIGN_OR_RETURN(AttributeBinding attr, BindingFor(col));
   return GpuQuantiles(device_, attr, c.bit_width(), q);
-}
-
-// --- CPU fallback tier ----------------------------------------------------
-//
-// Thin delegators to core/cpu_tier.h: the exact scalar equivalents of the
-// GPU operators are shared with the shard-pool failover path (DESIGN.md
-// sections 11 and 15), so both the single-device ladder and per-shard
-// recombination answer from one implementation.
-
-Result<std::vector<uint8_t>> Executor::CpuSelectionMask(
-    const predicate::ExprPtr& where) {
-  return cpu_tier::SelectionMask(*table_, where);
-}
-
-Result<uint64_t> Executor::CpuCount(const predicate::ExprPtr& where) {
-  return cpu_tier::Count(*table_, where);
-}
-
-Result<std::vector<uint32_t>> Executor::CpuRowIds(
-    const predicate::ExprPtr& where) {
-  return cpu_tier::RowIds(*table_, where);
-}
-
-Result<double> Executor::CpuAggregate(AggregateKind kind,
-                                      std::string_view column,
-                                      const predicate::ExprPtr& where) {
-  return cpu_tier::Aggregate(*table_, kind, column, where);
-}
-
-Result<uint32_t> Executor::CpuKthLargest(std::string_view column, uint64_t k,
-                                         const predicate::ExprPtr& where) {
-  return cpu_tier::KthLargest(*table_, column, k, where);
-}
-
-Result<uint64_t> Executor::CpuRangeCount(std::string_view column, double low,
-                                         double high) {
-  return cpu_tier::RangeCount(*table_, column, low, high);
 }
 
 }  // namespace core

@@ -165,10 +165,6 @@ class Executor {
     table_version_ = version;
   }
 
-  /// Planner/cache outcome of the most recent Where(): fused pass count and
-  /// plane-cache hits/misses, for query-log columns and tests.
-  const SelectionExecOptions& last_exec() const { return last_exec_; }
-
   /// The GPU binding (texture/channel/encoding) for a column; uploads the
   /// column texture on first use. Exposed for benchmarks that drive the
   /// low-level routines directly.
@@ -230,26 +226,12 @@ class Executor {
                                              uint64_t max_groups);
   [[nodiscard]] Result<std::vector<uint32_t>> QuantilesGpu(std::string_view column, int q);
 
-  // CPU fallback tier (cpu/scan + cpu/quickselect + cpu/aggregate): exact
-  // equivalents of the GPU operators for integer columns, used when the
-  // device is faulting (DESIGN.md section 11 degradation ladder).
-  [[nodiscard]] Result<std::vector<uint8_t>> CpuSelectionMask(const predicate::ExprPtr& where);
-  [[nodiscard]] Result<uint64_t> CpuCount(const predicate::ExprPtr& where);
-  [[nodiscard]] Result<std::vector<uint32_t>> CpuRowIds(const predicate::ExprPtr& where);
-  [[nodiscard]] Result<double> CpuAggregate(AggregateKind kind, std::string_view column,
-                              const predicate::ExprPtr& where);
-  [[nodiscard]] Result<uint32_t> CpuKthLargest(std::string_view column, uint64_t k,
-                                 const predicate::ExprPtr& where);
-  [[nodiscard]] Result<uint64_t> CpuRangeCount(std::string_view column, double low,
-                                 double high);
-
   gpu::Device* device_;
   const db::Table* table_;
   const db::TableStats* stats_ = nullptr;  ///< ANALYZE stats; not owned.
   PlanOptions plan_options_;
   std::string table_name_;      ///< catalog identity for plane-cache keys
   uint64_t table_version_ = 0;  ///< catalog version at SetTableIdentity time
-  SelectionExecOptions last_exec_;
   std::vector<gpu::TextureId> column_textures_;  // -1 = not uploaded yet
   std::map<std::pair<size_t, size_t>, gpu::TextureId> pair_textures_;
 

@@ -33,34 +33,30 @@ enum class Backend { kGpu, kCpu };
 std::string_view ToString(Backend backend);
 
 /// \brief The planner's rewrite of a selection's pass sequence (DESIGN.md
-/// §14): which fusion rules apply and what the pass budget looks like on
-/// each side. The rewrite never changes results -- every rule is proven
-/// fragment-set-equivalent to the reference sequence -- only how many
-/// passes the device renders to get them.
+/// §14): which fusion rules apply. The rewrite never changes results --
+/// every rule is proven fragment-set-equivalent to the reference sequence
+/// -- only how many passes the device renders to get them. The default
+/// value is the identity plan: EvalCnf/EvalDnf then issue the paper's pass
+/// sequences unchanged.
 struct PassPlan {
   /// All clauses are single-predicate, so the CNF INCR/DECR bookkeeping
-  /// (per-clause parity flips + cleanup passes) collapses into one
-  /// EvalConjunction-style stencil chain: predicate i runs with stencil
-  /// EQUAL i+1 / INCR, no cleanup passes at all. Requires <= 254 predicates
-  /// (8-bit stencil, values 1..255).
+  /// (per-clause parity flips + cleanup passes) collapses into the stencil
+  /// chain EvalDnf runs per term: predicate i runs with stencil EQUAL i+1 /
+  /// INCR, no cleanup passes at all. Requires <= 254 predicates (8-bit
+  /// stencil, values 1..255); EvalCnf rejects a longer chain.
   bool chain = false;
   /// The chain's final predicate pass carries the occlusion query itself:
   /// its survivors are exactly the selected records, so the separate
   /// CountSelected pass is dropped.
   bool fused_count = false;
-  /// Depth-compare predicates that run as single fused copy+compare passes
+  /// Depth-compare predicates run as single fused copy+compare passes
   /// (core::FusedComparePass) instead of CopyToDepth + CompareQuad pairs.
-  /// Zero when the plane cache is on: a cacheable predicate keeps the
+  /// Off when the plane cache is on: a cacheable predicate keeps the
   /// attribute copy separate so its depth plane can be snapshotted and
   /// restored across queries.
-  int fused_compares = 0;
-  /// Device passes the rewritten plan issues for a COUNT-style selection
-  /// (cache synthetic passes excluded), and what the unrewritten reference
-  /// sequence would have issued. EXPLAIN surfaces the pair.
-  int planned_passes = 0;
-  int unfused_passes = 0;
+  bool fused_compares = false;
 
-  bool Rewritten() const { return chain || fused_count || fused_compares > 0; }
+  bool Rewritten() const { return chain || fused_count || fused_compares; }
 };
 
 /// Plans the pass sequence for a CNF selection. `fusion_enabled` gates

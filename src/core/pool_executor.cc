@@ -131,7 +131,10 @@ Result<T> PoolExecutor::RunShard(
     }
     Result<Executor*> exec = ShardExecutorFor(shard_index, device_id);
     if (!exec.ok()) return exec.status();
+    const gpu::DeviceCounters& counters = pool_->device(device_id).counters();
+    const gpu::CounterMark before = gpu::CounterMark::Of(counters);
     Result<T> result = gpu_op(*exec.ValueOrDie());
+    gpu::AddDeltaSince(before, counters, &last_stats_.work);
     if (result.ok()) {
       pool_->RecordSuccess(device_id);
       span.AddTag("outcome", "ok");

@@ -27,6 +27,9 @@ struct PoolQueryStats {
   int first_device = -1;         ///< Primary device of the first shard run.
   int first_failed_device = -1;  ///< First device a shard hopped off, or -1.
   bool cpu_fallback = false;     ///< Some shard was answered by the CPU tier.
+  /// Device work of every shard attempt, summed over the pool devices (each
+  /// attempt's counter delta, taken under its lease).
+  gpu::DeviceCounters work;
 };
 
 /// \brief Scatter/gather executor over a ShardedTable on a DevicePool

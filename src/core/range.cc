@@ -14,6 +14,7 @@ Result<uint64_t> RangeSelect(gpu::Device* device, const AttributeBinding& attr,
   GpuOpSpan op("RangeSelect", device);
   op.AddTag("low", low);
   op.AddTag("high", high);
+  const auto [lo, hi] = attr.encoding.ExactBounds(low, high);
   // SetupStencil + CopyToDepth (Routine 4.4 lines 1-2).
   GPUDB_RETURN_NOT_OK(CopyToDepth(device, attr));
   StateGuard guard(device);
@@ -28,10 +29,10 @@ Result<uint64_t> RangeSelect(gpu::Device* device, const AttributeBinding& attr,
   // the stored values), so the depth test proper is disabled.
   device->SetDepthTest(false, gpu::CompareOp::kAlways);
   device->SetDepthWriteMask(false);
-  device->SetDepthBoundsTest(true, attr.encoding.Encode(low),
-                             attr.encoding.Encode(high));
+  device->SetDepthBoundsTest(true, attr.encoding.Encode(lo),
+                             attr.encoding.Encode(hi));
   GPUDB_RETURN_NOT_OK(device->BeginOcclusionQuery());
-  GPUDB_RETURN_NOT_OK(device->RenderQuad(attr.encoding.Encode(low)));
+  GPUDB_RETURN_NOT_OK(device->RenderQuad(attr.encoding.Encode(lo)));
   GPUDB_ASSIGN_OR_RETURN(uint64_t count, device->EndOcclusionQuery());
   device->SetDepthBoundsTest(false);
   return count;
@@ -43,6 +44,7 @@ Result<uint64_t> RangeSelectTwoPass(gpu::Device* device,
   if (low > high) {
     return Status::InvalidArgument("range query with low > high");
   }
+  const auto [lo, hi] = attr.encoding.ExactBounds(low, high);
   GPUDB_RETURN_NOT_OK(CopyToDepth(device, attr));
   StateGuard guard(device);
   device->ClearStencil(0);
@@ -52,7 +54,7 @@ Result<uint64_t> RangeSelectTwoPass(gpu::Device* device,
   device->SetStencilTest(true, gpu::CompareOp::kAlways, /*ref=*/1);
   device->SetStencilOp(gpu::StencilOp::kKeep, gpu::StencilOp::kKeep,
                        gpu::StencilOp::kReplace);
-  GPUDB_RETURN_NOT_OK(CompareQuad(device, gpu::CompareOp::kGreaterEqual, low,
+  GPUDB_RETURN_NOT_OK(CompareQuad(device, gpu::CompareOp::kGreaterEqual, lo,
                                   attr.encoding));
   // Pass 2: among stencil==1, x <= high survives as 2; count survivors.
   device->SetStencilTest(true, gpu::CompareOp::kEqual, /*ref=*/1);
@@ -60,7 +62,7 @@ Result<uint64_t> RangeSelectTwoPass(gpu::Device* device,
                        gpu::StencilOp::kIncr);
   GPUDB_RETURN_NOT_OK(device->BeginOcclusionQuery());
   GPUDB_RETURN_NOT_OK(
-      CompareQuad(device, gpu::CompareOp::kLessEqual, high, attr.encoding));
+      CompareQuad(device, gpu::CompareOp::kLessEqual, hi, attr.encoding));
   GPUDB_ASSIGN_OR_RETURN(uint64_t count, device->EndOcclusionQuery());
   // Normalize the mask back to {0,1}: clear stragglers at 1 to 0, then the
   // survivors at 2 down to 1 for a uniform selection encoding.

@@ -19,6 +19,9 @@ namespace core {
 /// comparisons at once -- "the computational time ... is comparable to the
 /// time required in evaluating a single predicate" (Section 4.2).
 ///
+/// Under an exact integer encoding, fractional and out-of-domain bounds are
+/// restated first (DepthEncoding::ExactBounds), so the answer is exact.
+///
 /// Selected records get stencil = 1, others 0; returns the selected count.
 [[nodiscard]] Result<uint64_t> RangeSelect(gpu::Device* device, const AttributeBinding& attr,
                              double low, double high);

@@ -36,8 +36,9 @@ inline constexpr size_t kMaxCnfClauses = 4096;
 /// T_k where each term T_i is a conjunction of NOT-free simple predicates.
 /// The paper notes EvalCNF "can easily [be] modified for handling a boolean
 /// expression represented as a DNF" (Section 4.2); core::EvalDnf is that
-/// modification, and queries that are naturally disjunctions of conjunctions
-/// avoid the exponential CNF distribution entirely.
+/// modification (the same evaluator as core::EvalCnf, running one stencil
+/// chain per term), and queries that are naturally disjunctions of
+/// conjunctions avoid the exponential CNF distribution entirely.
 struct Dnf {
   std::vector<std::vector<SimplePredicate>> terms;
 

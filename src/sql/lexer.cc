@@ -86,6 +86,15 @@ TokenKind KeywordOrIdentifier(std::string_view word) {
   return TokenKind::kIdentifier;
 }
 
+/// A digit, or a '.' followed by a digit, at input[i].
+bool StartsNumber(std::string_view input, size_t i) {
+  const auto digit = [&](size_t at) {
+    return at < input.size() &&
+           std::isdigit(static_cast<unsigned char>(input[at]));
+  };
+  return digit(i) || (i < input.size() && input[i] == '.' && digit(i + 1));
+}
+
 }  // namespace
 
 Result<std::vector<Token>> Tokenize(std::string_view input) {
@@ -109,10 +118,11 @@ Result<std::vector<Token>> Tokenize(std::string_view input) {
       token.text = std::string(input.substr(i, j - i));
       token.kind = KeywordOrIdentifier(token.text);
       i = j;
-    } else if (std::isdigit(static_cast<unsigned char>(c)) ||
-               (c == '.' && i + 1 < n &&
-                std::isdigit(static_cast<unsigned char>(input[i + 1])))) {
-      size_t j = i;
+    } else if (StartsNumber(input, i) ||
+               (c == '-' && StartsNumber(input, i + 1))) {
+      // A '-' directly before a number is its sign; the grammar has no
+      // arithmetic, so a minus sign can mean nothing else.
+      size_t j = c == '-' ? i + 1 : i;
       bool seen_dot = false;
       while (j < n && (std::isdigit(static_cast<unsigned char>(input[j])) ||
                        (input[j] == '.' && !seen_dot))) {

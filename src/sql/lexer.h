@@ -65,8 +65,8 @@ struct Token {
 };
 
 /// Tokenizes a query string. Keywords are case-insensitive; identifiers are
-/// [A-Za-z_][A-Za-z0-9_]*; numbers are decimal with optional fraction and
-/// sign handled by the parser.
+/// [A-Za-z_][A-Za-z0-9_]*; numbers are decimal with an optional leading '-'
+/// and an optional fraction.
 [[nodiscard]] Result<std::vector<Token>> Tokenize(std::string_view input);
 
 }  // namespace sql

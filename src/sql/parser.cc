@@ -28,6 +28,9 @@ using predicate::ExprPtr;
 ///   comparison := column cmp (column | number)
 ///              |  number cmp column
 ///              |  column BETWEEN number AND number
+///
+/// NOT and parentheses nest at most kMaxExprNesting levels deep; a number
+/// may carry a leading '-'.
 class Parser {
  public:
   Parser(std::vector<Token> tokens, const db::Table& table)
@@ -269,10 +272,21 @@ class Parser {
     return lhs;
   }
 
+  /// Enters one level of NOT or parentheses (leave with --depth_).
+  Status Nest() {
+    if (++depth_ > kMaxExprNesting) {
+      return Error("WHERE clause nests NOT and parentheses deeper than " +
+                   std::to_string(kMaxExprNesting) + " levels");
+    }
+    return Status::OK();
+  }
+
   Result<ExprPtr> ParseNotExpr() {
     if (Peek().kind == TokenKind::kNot) {
       Next();
+      GPUDB_RETURN_NOT_OK(Nest());
       GPUDB_ASSIGN_OR_RETURN(ExprPtr child, ParseNotExpr());
+      --depth_;
       return Expr::Not(std::move(child));
     }
     return ParsePrimary();
@@ -281,8 +295,10 @@ class Parser {
   Result<ExprPtr> ParsePrimary() {
     if (Peek().kind == TokenKind::kLParen) {
       Next();
+      GPUDB_RETURN_NOT_OK(Nest());
       GPUDB_ASSIGN_OR_RETURN(ExprPtr inner, ParseOrExpr());
       GPUDB_RETURN_NOT_OK(Expect(TokenKind::kRParen));
+      --depth_;
       return inner;
     }
     return ParseComparison();
@@ -350,6 +366,7 @@ class Parser {
   std::vector<Token> tokens_;
   const db::Table& table_;
   size_t pos_ = 0;
+  int depth_ = 0;  ///< current NOT/parenthesis nesting
 };
 
 }  // namespace

@@ -70,6 +70,11 @@ struct Query {
 
 std::string_view ToString(Query::Kind kind);
 
+/// Deepest nesting of parentheses and NOT a WHERE clause may use. The parser
+/// and the normal-form conversions recurse once per level, so the limit
+/// bounds their stack; deeper input is an InvalidArgument, not a crash.
+inline constexpr int kMaxExprNesting = 256;
+
 /// \brief Parses `input` against `table` (column names resolve to indices;
 /// unknown columns are errors with positions).
 [[nodiscard]] Result<Query> ParseQuery(std::string_view input, const db::Table& table);

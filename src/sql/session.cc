@@ -244,7 +244,11 @@ Result<QueryResult> Session::RunUserTable(std::string_view sql,
   exec->set_table_stats(catalog_->Stats(table_name));
   const gpu::CounterMark before = gpu::CounterMark::Of(device_->counters());
   Result<QueryResult> result = RunUserStatement(sql, table_name, exec);
-  *counters_out = gpu::DeltaSince(before, device_->counters());
+  // A pooled statement ran on the pool devices; their summed shard deltas
+  // are its work.
+  *counters_out = pooled_statement_
+                      ? std::move(pool_stats_.work)
+                      : gpu::DeltaSince(before, device_->counters());
   return result;
 }
 
@@ -382,7 +386,6 @@ Result<QueryResult> Session::Execute(std::string_view sql) {
                           ? pool_stats.first_failed_device
                           : pool_stats.first_device;
     entry.failovers = pool_stats.failovers;
-    entry.fell_back = entry.fell_back || pool_stats.cpu_fallback;
   }
   entry.retries =
       registry.counter("queries.retry_attempts").value() - retries_before;

@@ -269,41 +269,66 @@ TEST_F(EvalCnfTest, RejectsEmptyInput) {
   EXPECT_FALSE(EvalCnf(&device_, {GpuClause{}}).ok());
 }
 
-TEST_F(EvalCnfTest, ConjunctionFastPathMatchesGeneralPath) {
-  std::vector<GpuPredicate> conjuncts = {
-      Depth(0, CompareOp::kGreaterEqual, 64),
-      Depth(1, CompareOp::kLess, 192),
-      Depth(2, CompareOp::kNotEqual, 7)};
-  std::vector<GpuClause> clauses;
-  for (const auto& p : conjuncts) clauses.push_back({p});
+/// The chain plan alone: no fused compares, no fused count, no cache.
+SelectionExecOptions ChainPlan() {
+  SelectionExecOptions opts;
+  opts.plan.chain = true;
+  return opts;
+}
+
+TEST_F(EvalCnfTest, ChainPlanMatchesGeneralPath) {
+  const std::vector<GpuClause> clauses = {
+      {Depth(0, CompareOp::kGreaterEqual, 64)},
+      {Depth(1, CompareOp::kLess, 192)},
+      {Depth(2, CompareOp::kNotEqual, 7)}};
 
   auto general = EvalCnf(&device_, clauses);
   ASSERT_TRUE(general.ok());
-  auto fast = EvalConjunction(&device_, conjuncts);
+  std::vector<uint8_t> general_mask = device_.ReadStencil().ValueOrDie();
+  for (uint8_t& v : general_mask) v = v == general.ValueOrDie().valid_value;
+  SelectionExecOptions chain = ChainPlan();
+  auto fast = EvalCnf(&device_, clauses, &chain);
   ASSERT_TRUE(fast.ok());
   EXPECT_EQ(fast.ValueOrDie().count, general.ValueOrDie().count);
+  EXPECT_EQ(fast.ValueOrDie().valid_value, clauses.size() + 1);
+  std::vector<uint8_t> fast_mask = device_.ReadStencil().ValueOrDie();
+  for (uint8_t& v : fast_mask) v = v == fast.ValueOrDie().valid_value;
+  EXPECT_EQ(fast_mask, general_mask);
 }
 
-TEST_F(EvalCnfTest, ConjunctionFastPathUsesFewerPasses) {
-  std::vector<GpuPredicate> conjuncts = {
-      Depth(0, CompareOp::kGreaterEqual, 64),
-      Depth(1, CompareOp::kLess, 192)};
-  std::vector<GpuClause> clauses = {{conjuncts[0]}, {conjuncts[1]}};
+TEST_F(EvalCnfTest, ChainPlanUsesFewerPasses) {
+  const std::vector<GpuClause> clauses = {
+      {Depth(0, CompareOp::kGreaterEqual, 64)},
+      {Depth(1, CompareOp::kLess, 192)}};
 
   device_.ResetCounters();
   ASSERT_TRUE(EvalCnf(&device_, clauses).ok());
   const uint64_t general_passes = device_.counters().passes;
   device_.ResetCounters();
-  ASSERT_TRUE(EvalConjunction(&device_, conjuncts).ok());
+  SelectionExecOptions chain = ChainPlan();
+  ASSERT_TRUE(EvalCnf(&device_, clauses, &chain).ok());
   const uint64_t fast_passes = device_.counters().passes;
   EXPECT_LT(fast_passes, general_passes);
 }
 
-TEST_F(EvalCnfTest, ConjunctionRejectsTooManyConjuncts) {
-  std::vector<GpuPredicate> many(255,
-                                 Depth(0, CompareOp::kGreaterEqual, 0));
-  EXPECT_FALSE(EvalConjunction(&device_, many).ok());
-  EXPECT_FALSE(EvalConjunction(&device_, {}).ok());
+TEST_F(EvalCnfTest, ChainPlanRejectsBadInput) {
+  SelectionExecOptions chain = ChainPlan();
+  EXPECT_TRUE(EvalCnf(&device_, {}, &chain).status().IsInvalidArgument());
+  // More than 254 links would wrap the 8-bit stencil value.
+  const std::vector<GpuClause> many(
+      255, GpuClause{Depth(0, CompareOp::kGreaterEqual, 0)});
+  EXPECT_TRUE(EvalCnf(&device_, many, &chain).status().IsResourceExhausted());
+  const std::vector<GpuClause> at_limit(
+      254, GpuClause{Depth(0, CompareOp::kGreaterEqual, 0)});
+  auto full = EvalCnf(&device_, at_limit, &chain);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_EQ(full.ValueOrDie().valid_value, 255);
+  EXPECT_EQ(full.ValueOrDie().count, table_.num_rows());
+  // A chain links single predicates; a disjunctive clause cannot be one.
+  const std::vector<GpuClause> disjunctive = {
+      {Depth(0, CompareOp::kLess, 10), Depth(1, CompareOp::kGreater, 200)}};
+  EXPECT_TRUE(
+      EvalCnf(&device_, disjunctive, &chain).status().IsInvalidArgument());
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/metrics.h"
 #include "src/core/executor.h"
 #include "src/cpu/aggregate.h"
 #include "src/cpu/quickselect.h"
@@ -381,6 +384,92 @@ TEST_F(ExecutorTest, ColumnTexturesUploadedOnce) {
   const uint64_t after_first = device_.counters().bytes_uploaded;
   ASSERT_OK(executor_->Count(e).status());
   EXPECT_EQ(device_.counters().bytes_uploaded, after_first);
+}
+
+TEST(DepthEncodingTest, ExactCompareRestatesOntoTheIntegerDomain) {
+  const DepthEncoding exact = DepthEncoding::ExactInt24();
+  auto restated = [&](CompareOp op, double c) {
+    const DepthEncoding::Comparison r = exact.ExactCompare(op, c);
+    return std::string(gpu::ToString(r.op)) + " " + std::to_string(r.constant);
+  };
+  auto spelled = [](CompareOp op, double c) {
+    return std::string(gpu::ToString(op)) + " " + std::to_string(c);
+  };
+  EXPECT_EQ(restated(CompareOp::kGreater, 4.5),
+            spelled(CompareOp::kGreaterEqual, 5));
+  EXPECT_EQ(restated(CompareOp::kGreater, -1),
+            spelled(CompareOp::kGreaterEqual, 0));
+  EXPECT_EQ(restated(CompareOp::kEqual, 5.5), spelled(CompareOp::kLess, 0));
+  EXPECT_EQ(restated(CompareOp::kLess, 2e7),
+            spelled(CompareOp::kGreaterEqual, 0));
+  // In-domain integers, and every constant of a float encoding, stay put.
+  EXPECT_EQ(restated(CompareOp::kGreater, 4), spelled(CompareOp::kGreater, 4));
+  const DepthEncoding::Comparison fl =
+      DepthEncoding{0.5, 1.0}.ExactCompare(CompareOp::kGreater, 4.5);
+  EXPECT_EQ(fl.op, CompareOp::kGreater);
+  EXPECT_EQ(fl.constant, 4.5);
+  EXPECT_EQ(exact.ExactBounds(0.5, 2.5), std::make_pair(1.0, 2.0));
+  EXPECT_EQ(exact.ExactBounds(0.2, 0.8), std::make_pair(1.0, 0.0));
+  EXPECT_EQ(exact.ExactBounds(-3, 2e7), std::make_pair(0.0, 16777215.0));
+}
+
+// Fractional and out-of-domain constants on an integer column: the GPU, the
+// CPU fallback tier and the cpu/scan oracle must give the same answer.
+TEST(ExactIntConstantsTest, GpuCpuFallbackAndOracleAgree) {
+  const std::vector<uint32_t> ints = {0, 5, 16777215, 7, 0, 1, 4, 16777214,
+                                      3, 2};
+  auto column = db::Column::MakeInt24("x", ints);
+  ASSERT_TRUE(column.ok());
+  db::Table table;
+  ASSERT_OK(table.AddColumn(std::move(column).ValueOrDie()));
+  const std::vector<float> values = table.column(0).values();
+
+  gpu::Device device(16, 16);
+  gpu::Device faulty(16, 16);
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Executor> gpu,
+                       Executor::Make(&device, &table));
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Executor> cpu,
+                       Executor::Make(&faulty, &table));
+  ASSERT_OK(cpu->BindingFor(0).status());
+  // Every pass on `faulty` fails, so `cpu` answers from the CPU tier.
+  faulty.ConfigureFaults({/*seed=*/9, /*rate=*/1.0, /*device_id=*/0});
+  MetricCounter& fell_back =
+      MetricsRegistry::Global().counter("queries.fell_back");
+
+  const double kConstants[] = {-1, -0.5, 0.5, 4.5, 16777215.5, 2e7};
+  for (const CompareOp op :
+       {CompareOp::kLess, CompareOp::kLessEqual, CompareOp::kEqual,
+        CompareOp::kGreaterEqual, CompareOp::kGreater, CompareOp::kNotEqual}) {
+    for (const double c : kConstants) {
+      const std::string what =
+          std::string(gpu::ToString(op)) + " " + std::to_string(c);
+      const ExprPtr where = Expr::Pred(0, op, static_cast<float>(c));
+      std::vector<uint8_t> mask;
+      const uint64_t oracle =
+          cpu::PredicateScan(values, op, static_cast<float>(c), &mask);
+      ASSERT_OK_AND_ASSIGN(const uint64_t on_gpu, gpu->Count(where));
+      EXPECT_EQ(on_gpu, oracle) << what;
+      const uint64_t fell_back_before = fell_back.value();
+      ASSERT_OK_AND_ASSIGN(const uint64_t on_cpu, cpu->Count(where));
+      EXPECT_EQ(on_cpu, oracle) << what;
+      EXPECT_GT(fell_back.value(), fell_back_before) << what;
+    }
+  }
+  for (const double low : kConstants) {
+    for (const double high : kConstants) {
+      if (low > high) continue;
+      const std::string what =
+          "[" + std::to_string(low) + ", " + std::to_string(high) + "]";
+      uint64_t oracle = 0;
+      for (const uint32_t v : ints) oracle += (v >= low && v <= high) ? 1 : 0;
+      ASSERT_OK_AND_ASSIGN(const uint64_t on_gpu,
+                           gpu->RangeCount("x", low, high));
+      EXPECT_EQ(on_gpu, oracle) << what;
+      ASSERT_OK_AND_ASSIGN(const uint64_t on_cpu,
+                           cpu->RangeCount("x", low, high));
+      EXPECT_EQ(on_cpu, oracle) << what;
+    }
+  }
 }
 
 }  // namespace

@@ -44,62 +44,130 @@ std::vector<bool> SelectionMask(gpu::Device* device, uint8_t valid,
 }
 
 // ---------------------------------------------------------------------------
-// PlanSelectionPasses units.
+// PlanSelectionPasses: the plans and the pass sequences they measurably run.
 
-TEST(PlanSelectionPassesTest, SingletonCnfCollapsesToCountedChain) {
-  AttributeBinding attr;
+class PassPlanTest : public ::testing::Test {
+ protected:
+  PassPlanTest() : device_(64, 64) {
+    const std::vector<uint32_t> ints = RandomInts(kRecords, kBitWidth, 11);
+    const std::vector<float> a = testing_util::ToFloats(ints);
+    const std::vector<float> b =
+        testing_util::ToFloats(RandomInts(kRecords, kBitWidth, 12));
+    auto pair = gpu::Texture::FromColumns({&a, &b}, 64);
+    EXPECT_TRUE(pair.ok());
+    pair_ = device_.UploadTexture(std::move(pair).ValueOrDie()).ValueOrDie();
+    attr_ = UploadIntAttribute(&device_, ints, 64);
+  }
+
+  /// Device passes one EvalCnf under `opts` renders.
+  uint64_t CnfPasses(const std::vector<GpuClause>& clauses,
+                     SelectionExecOptions opts) {
+    const uint64_t before = device_.counters().passes;
+    auto sel = EvalCnf(&device_, clauses, &opts);
+    EXPECT_TRUE(sel.ok()) << sel.status().ToString();
+    return device_.counters().passes - before;
+  }
+
+  /// CnfPasses under a plan alone (no cache).
+  uint64_t CnfPasses(const std::vector<GpuClause>& clauses,
+                     const PassPlan& plan) {
+    SelectionExecOptions opts;
+    opts.plan = plan;
+    return CnfPasses(clauses, opts);
+  }
+
+  /// `a op b` over the pair texture, as a semilinear predicate.
+  GpuPredicate AttrCompare(CompareOp op) const {
+    return GpuPredicate::Semilinear(pair_,
+                                    SemilinearQuery::AttrCompare(0, op, 1));
+  }
+
+  gpu::Device device_;
+  gpu::TextureId pair_ = -1;
+  AttributeBinding attr_;
+};
+
+TEST_F(PassPlanTest, IdentityCnfRunsRoutine43) {
+  // Identity plan: 2 passes per depth compare (copy + compare), 1 per
+  // semilinear predicate, 1 cleanup per clause, 1 count.
   const std::vector<GpuClause> clauses = {
-      {Depth(attr, CompareOp::kGreater, 10)},
-      {Depth(attr, CompareOp::kLess, 90)},
-      {Depth(attr, CompareOp::kNotEqual, 50)}};
+      {Depth(attr_, CompareOp::kLess, 10000), AttrCompare(CompareOp::kLess)},
+      {Depth(attr_, CompareOp::kNotEqual, 0)},
+      {AttrCompare(CompareOp::kGreaterEqual)}};
+  EXPECT_EQ(CnfPasses(clauses, PassPlan{}), 2u * 2 + 2 + 3 + 1);
+  // Fusion off plans the identity.
+  const PassPlan off = PlanSelectionPasses(clauses, false, false);
+  EXPECT_FALSE(off.Rewritten());
+  EXPECT_EQ(CnfPasses(clauses, off), 2u * 2 + 2 + 3 + 1);
+}
+
+TEST_F(PassPlanTest, SingletonCnfCollapsesToCountedChain) {
+  const std::vector<GpuClause> clauses = {
+      {Depth(attr_, CompareOp::kGreater, 10)},
+      {Depth(attr_, CompareOp::kLess, 60000)},
+      {Depth(attr_, CompareOp::kNotEqual, 50)}};
   const PassPlan plan = PlanSelectionPasses(clauses, /*fusion_enabled=*/true,
                                             /*cache_enabled=*/false);
   EXPECT_TRUE(plan.chain);
   EXPECT_TRUE(plan.fused_count);
-  EXPECT_EQ(plan.fused_compares, 3);
+  EXPECT_TRUE(plan.fused_compares);
   EXPECT_TRUE(plan.Rewritten());
   // Reference: 3 copies + 3 compares + 3 cleanups + 1 count = 10.
-  EXPECT_EQ(plan.unfused_passes, 10);
+  EXPECT_EQ(CnfPasses(clauses, PassPlan{}), 10u);
   // Rewritten: 3 fused compare passes, count carried by the last one.
-  EXPECT_EQ(plan.planned_passes, 3);
+  EXPECT_EQ(CnfPasses(clauses, plan), 3u);
 }
 
-TEST(PlanSelectionPassesTest, MultiPredicateClauseKeepsTheCnfSkeleton) {
-  AttributeBinding attr;
+TEST_F(PassPlanTest, MultiPredicateClauseKeepsTheCnfSkeleton) {
   const std::vector<GpuClause> clauses = {
-      {Depth(attr, CompareOp::kLess, 10), Depth(attr, CompareOp::kGreater, 90)},
-      {Depth(attr, CompareOp::kNotEqual, 0)}};
+      {Depth(attr_, CompareOp::kLess, 10), Depth(attr_, CompareOp::kGreater, 90)},
+      {Depth(attr_, CompareOp::kNotEqual, 0)}};
   const PassPlan plan = PlanSelectionPasses(clauses, true, false);
   EXPECT_FALSE(plan.chain);
   EXPECT_FALSE(plan.fused_count);
-  EXPECT_EQ(plan.fused_compares, 3);
+  EXPECT_TRUE(plan.fused_compares);
   // Reference: 3 copies + 3 compares + 2 cleanups + 1 count = 9.
-  EXPECT_EQ(plan.unfused_passes, 9);
+  EXPECT_EQ(CnfPasses(clauses, PassPlan{}), 9u);
   // Rewritten: 3 fused + 2 cleanups + 1 count = 6.
-  EXPECT_EQ(plan.planned_passes, 6);
+  EXPECT_EQ(CnfPasses(clauses, plan), 6u);
 }
 
-TEST(PlanSelectionPassesTest, FusionDisabledPlansTheReferenceSequence) {
-  AttributeBinding attr;
-  const std::vector<GpuClause> clauses = {{Depth(attr, CompareOp::kLess, 5)}};
-  const PassPlan plan = PlanSelectionPasses(clauses, false, false);
-  EXPECT_FALSE(plan.Rewritten());
-  EXPECT_EQ(plan.planned_passes, plan.unfused_passes);
-}
-
-TEST(PlanSelectionPassesTest, CacheDisablesCompareFusionButKeepsTheChain) {
-  AttributeBinding attr;
+TEST_F(PassPlanTest, CacheDisablesCompareFusionButKeepsTheChain) {
   const std::vector<GpuClause> clauses = {
-      {Depth(attr, CompareOp::kGreater, 10)},
-      {Depth(attr, CompareOp::kLess, 90)}};
+      {Depth(attr_, CompareOp::kGreater, 10)},
+      {Depth(attr_, CompareOp::kLess, 90)}};
   const PassPlan plan = PlanSelectionPasses(clauses, true, true);
   EXPECT_TRUE(plan.chain);
   EXPECT_TRUE(plan.fused_count);
   // Cacheable predicates keep the copy separate so the depth plane can be
   // snapshotted and restored across queries.
-  EXPECT_EQ(plan.fused_compares, 0);
+  EXPECT_FALSE(plan.fused_compares);
   // 2 copies + 2 compares, count carried by the final compare.
-  EXPECT_EQ(plan.planned_passes, 4);
+  EXPECT_EQ(CnfPasses(clauses, plan), 4u);
+  // The chain without fusion or a fused count: 2k + 1.
+  PassPlan chain;
+  chain.chain = true;
+  EXPECT_EQ(CnfPasses(clauses, chain), 2u * 2 + 1);
+}
+
+TEST_F(PassPlanTest, DnfRunsOneChainPerTerm) {
+  // Per term of m predicates: the chain (2 passes per depth compare), one
+  // stamp pass, m - 1 walk-down passes; then one count. This is the
+  // sequence bench/ablation_dnf_vs_cnf prices.
+  const std::vector<GpuTerm> terms = {
+      {Depth(attr_, CompareOp::kLess, 10000),
+       Depth(attr_, CompareOp::kGreater, 2000)},
+      {Depth(attr_, CompareOp::kGreaterEqual, 60000)}};
+  const uint64_t before = device_.counters().passes;
+  ASSERT_TRUE(EvalDnf(&device_, terms).ok());
+  EXPECT_EQ(device_.counters().passes - before,
+            (2u * 2 + 1 + 1) + (2u * 1 + 1 + 0) + 1);
+  SelectionExecOptions fused;
+  fused.plan.fused_compares = true;
+  const uint64_t before_fused = device_.counters().passes;
+  ASSERT_TRUE(EvalDnf(&device_, terms, &fused).ok());
+  EXPECT_EQ(device_.counters().passes - before_fused,
+            (2u + 1 + 1) + (1u + 1 + 0) + 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -124,7 +192,7 @@ TEST(FusedCompareTest, MatchesUnfusedForEveryOperatorAndConstant) {
       SelectionExecOptions opts;
       opts.plan = PlanSelectionPasses(clauses, true, false);
       const uint64_t passes_before = device.counters().passes;
-      auto fused = EvalCnfPlanned(&device, clauses, &opts);
+      auto fused = EvalCnf(&device, clauses, &opts);
       ASSERT_TRUE(fused.ok()) << fused.status().ToString();
       const std::string what = std::string(gpu::ToString(op)) + " " +
                                std::to_string(constant);
@@ -141,7 +209,7 @@ TEST(FusedCompareTest, MatchesUnfusedForEveryOperatorAndConstant) {
 }
 
 // ---------------------------------------------------------------------------
-// Planned evaluators vs. the legacy ones.
+// Planned evaluators vs. the identity plan.
 
 class PlannedEvalTest : public ::testing::Test {
  protected:
@@ -171,7 +239,7 @@ TEST_F(PlannedEvalTest, GeneralCnfMatchesLegacyWithFewerPasses) {
   SelectionExecOptions opts;
   opts.plan = PlanSelectionPasses(clauses, true, false);
   const uint64_t before = device_.counters().passes;
-  auto planned = EvalCnfPlanned(&device_, clauses, &opts);
+  auto planned = EvalCnf(&device_, clauses, &opts);
   ASSERT_TRUE(planned.ok());
   const uint64_t planned_passes = device_.counters().passes - before;
 
@@ -200,7 +268,7 @@ TEST_F(PlannedEvalTest, SingletonChainMatchesLegacyCount) {
   opts.plan = PlanSelectionPasses(clauses, true, false);
   ASSERT_TRUE(opts.plan.chain);
   const uint64_t before = device_.counters().passes;
-  auto planned = EvalCnfPlanned(&device_, clauses, &opts);
+  auto planned = EvalCnf(&device_, clauses, &opts);
   ASSERT_TRUE(planned.ok());
 
   // Chain + fused count: one pass per predicate, nothing else.
@@ -230,7 +298,7 @@ TEST_F(PlannedEvalTest, DnfMatchesLegacy) {
   opts.plan = PlanSelectionPasses(terms, true, false);
   opts.plan.chain = false;  // executor clears the chain rules for DNF
   opts.plan.fused_count = false;
-  auto planned = EvalDnfPlanned(&device_, terms, &opts);
+  auto planned = EvalDnf(&device_, terms, &opts);
   ASSERT_TRUE(planned.ok());
 
   EXPECT_EQ(planned.ValueOrDie().count, ref.ValueOrDie().count);
@@ -275,7 +343,7 @@ TEST_F(PlaneCacheExecTest, MissThenHitStaysBitExactAndSkipsTheCopy) {
   ASSERT_TRUE(ref.ok());
 
   SelectionExecOptions cold = CachedOpts(clauses);
-  auto first = EvalCnfPlanned(&device_, clauses, &cold);
+  auto first = EvalCnf(&device_, clauses, &cold);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(cold.cache_misses, 1);
   EXPECT_EQ(cold.cache_hits, 0);
@@ -283,7 +351,7 @@ TEST_F(PlaneCacheExecTest, MissThenHitStaysBitExactAndSkipsTheCopy) {
   EXPECT_EQ(first.ValueOrDie().count, ref.ValueOrDie().count);
 
   SelectionExecOptions warm = CachedOpts(clauses);
-  auto second = EvalCnfPlanned(&device_, clauses, &warm);
+  auto second = EvalCnf(&device_, clauses, &warm);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(warm.cache_hits, 1);
   EXPECT_EQ(warm.cache_misses, 0);
@@ -304,13 +372,13 @@ TEST_F(PlaneCacheExecTest, RestoredPlaneIsBitExact) {
   const std::vector<GpuClause> clauses = {
       {Depth(attr_, CompareOp::kLessEqual, 20000)}};
   SelectionExecOptions cold = CachedOpts(clauses);
-  ASSERT_TRUE(EvalCnfPlanned(&device_, clauses, &cold).ok());
+  ASSERT_TRUE(EvalCnf(&device_, clauses, &cold).ok());
   auto after_copy = device_.ReadDepth();
   ASSERT_TRUE(after_copy.ok());
 
   device_.ClearDepth(0.0f);  // scribble over the plane
   SelectionExecOptions warm = CachedOpts(clauses);
-  ASSERT_TRUE(EvalCnfPlanned(&device_, clauses, &warm).ok());
+  ASSERT_TRUE(EvalCnf(&device_, clauses, &warm).ok());
   ASSERT_EQ(warm.cache_hits, 1);
   auto after_restore = device_.ReadDepth();
   ASSERT_TRUE(after_restore.ok());
@@ -328,13 +396,13 @@ TEST_F(PlaneCacheExecTest, TableInvalidationAndVersionChangeBothMiss) {
   const std::vector<GpuClause> clauses = {
       {Depth(attr_, CompareOp::kGreater, 100)}};
   SelectionExecOptions cold = CachedOpts(clauses);
-  ASSERT_TRUE(EvalCnfPlanned(&device_, clauses, &cold).ok());
+  ASSERT_TRUE(EvalCnf(&device_, clauses, &cold).ok());
   ASSERT_EQ(cold.cache_misses, 1);
 
   // Version bump: the old plane is still resident but its key no longer
   // matches, so the query misses (and re-caches under the new version).
   SelectionExecOptions v2 = CachedOpts(clauses, /*version=*/2);
-  ASSERT_TRUE(EvalCnfPlanned(&device_, clauses, &v2).ok());
+  ASSERT_TRUE(EvalCnf(&device_, clauses, &v2).ok());
   EXPECT_EQ(v2.cache_misses, 1);
   EXPECT_EQ(v2.cache_hits, 0);
 
@@ -342,7 +410,7 @@ TEST_F(PlaneCacheExecTest, TableInvalidationAndVersionChangeBothMiss) {
   device_.InvalidateCachedPlanes("t");
   EXPECT_EQ(device_.plane_cache().size(), 0u);
   SelectionExecOptions after = CachedOpts(clauses, /*version=*/2);
-  ASSERT_TRUE(EvalCnfPlanned(&device_, clauses, &after).ok());
+  ASSERT_TRUE(EvalCnf(&device_, clauses, &after).ok());
   EXPECT_EQ(after.cache_misses, 1);
 }
 
@@ -352,7 +420,7 @@ TEST_F(PlaneCacheExecTest, PredicateWithoutColumnIdentityIsNotCached) {
   const std::vector<GpuClause> clauses = {
       {Depth(anon, CompareOp::kGreater, 30000)}};
   SelectionExecOptions opts = CachedOpts(clauses);
-  auto sel = EvalCnfPlanned(&device_, clauses, &opts);
+  auto sel = EvalCnf(&device_, clauses, &opts);
   ASSERT_TRUE(sel.ok());
   EXPECT_EQ(opts.cache_hits + opts.cache_misses, 0);
   EXPECT_EQ(device_.plane_cache().size(), 0u);

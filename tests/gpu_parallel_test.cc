@@ -250,7 +250,7 @@ Snapshot RunPlannedScenario(int threads, const std::vector<uint32_t>& ints) {
   SelectionExecOptions fused;
   fused.plan = PlanSelectionPasses(clauses, /*fusion_enabled=*/true,
                                    /*cache_enabled=*/false);
-  auto sel = EvalCnfPlanned(&device, clauses, &fused);
+  auto sel = EvalCnf(&device, clauses, &fused);
   EXPECT_OK(sel.status());
   if (sel.ok()) {
     snap.results.push_back(sel.ValueOrDie().count);
@@ -265,7 +265,7 @@ Snapshot RunPlannedScenario(int threads, const std::vector<uint32_t>& ints) {
     cached.use_cache = true;
     cached.table = "sweep";
     cached.table_version = 1;
-    auto cs = EvalCnfPlanned(&device, clauses, &cached);
+    auto cs = EvalCnf(&device, clauses, &cached);
     EXPECT_OK(cs.status());
     if (cs.ok()) snap.results.push_back(cs.ValueOrDie().count);
     snap.results.push_back(static_cast<uint64_t>(cached.cache_hits));

@@ -18,6 +18,7 @@
 #include "src/db/datagen.h"
 #include "src/db/sharding.h"
 #include "src/gpu/device_pool.h"
+#include "src/gpu/perf_model.h"
 #include "src/predicate/expr.h"
 #include "src/sql/admission.h"
 #include "src/sql/session.h"
@@ -439,6 +440,45 @@ TEST(SessionPool, PooledStatementsMatchClassicAndLogFailureDomains) {
                        pooled.Execute("SELECT MEDIAN(data_count) FROM traffic"));
   EXPECT_EQ(got_med.scalar, want_med.scalar);
   EXPECT_EQ(QueryLog::Global().Entries().back().device_id, -1);
+}
+
+TEST(SessionPool, PooledStatementsLogThePoolDevicesWork) {
+  ASSERT_OK_AND_ASSIGN(db::Table table, db::MakeTcpIpTable(3000, /*seed=*/9));
+  db::Catalog catalog;
+  ASSERT_OK(catalog.Register("traffic", &table));
+  gpu::Device session_device(100, 100);
+  sql::Session session(&session_device, &catalog);
+  auto pool = MakePool(2);
+  session.SetDevicePool(pool.get());
+
+  for (const char* sql :
+       {"SELECT COUNT(*) FROM traffic WHERE data_count > 20000",
+        "SELECT SUM(data_count) FROM traffic WHERE flow_rate < 250000",
+        "SELECT * FROM traffic WHERE data_count > 100000 LIMIT 7"}) {
+    SCOPED_TRACE(sql);
+    std::vector<gpu::CounterMark> marks;
+    for (int d = 0; d < pool->size(); ++d) {
+      marks.push_back(gpu::CounterMark::Of(pool->device(d).counters()));
+    }
+    const uint64_t session_passes = session_device.counters().passes;
+    ASSERT_OK(session.Execute(sql).status());
+    gpu::DeviceCounters want;
+    for (int d = 0; d < pool->size(); ++d) {
+      gpu::AddDeltaSince(marks[d], pool->device(d).counters(), &want);
+    }
+    // The statement ran on the pool, not the session device...
+    EXPECT_EQ(session_device.counters().passes, session_passes);
+    ASSERT_GT(want.passes, 0u);
+    // ...and the log carries the pool devices' work.
+    const QueryLogEntry last = QueryLog::Global().Entries().back();
+    EXPECT_GE(last.device_id, 0);
+    EXPECT_EQ(last.passes, want.passes);
+    EXPECT_EQ(last.fragments, want.fragments_generated);
+    EXPECT_EQ(last.fused_passes, want.fused_passes);
+    const double want_ms = gpu::PerfModel().Estimate(want).TotalMs();
+    EXPECT_GT(last.simulated_ms, 0.0);
+    EXPECT_NEAR(last.simulated_ms, want_ms, 1e-9 * want_ms);
+  }
 }
 
 TEST(SessionPool, AdmissionRejectionSurfacesAndIsLogged) {

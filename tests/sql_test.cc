@@ -1,4 +1,5 @@
 #include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -47,6 +48,17 @@ TEST(LexerTest, NumbersParse) {
   EXPECT_DOUBLE_EQ(tokens[0].number, 3.25);
   EXPECT_DOUBLE_EQ(tokens[1].number, 100.0);
   EXPECT_DOUBLE_EQ(tokens[2].number, 0.5);
+}
+
+TEST(LexerTest, NegativeNumbersParse) {
+  ASSERT_OK_AND_ASSIGN(std::vector<Token> tokens, Tokenize("a > -5 OR -.5"));
+  ASSERT_EQ(tokens[2].kind, TokenKind::kNumber);
+  EXPECT_DOUBLE_EQ(tokens[2].number, -5.0);
+  ASSERT_EQ(tokens[4].kind, TokenKind::kNumber);
+  EXPECT_DOUBLE_EQ(tokens[4].number, -0.5);
+  // The sign must touch the number; a lone '-' is still an error.
+  EXPECT_FALSE(Tokenize("a > - 5").ok());
+  EXPECT_FALSE(Tokenize("a > -").ok());
 }
 
 TEST(LexerTest, RejectsGarbage) {
@@ -150,6 +162,74 @@ TEST_F(ParserTest, ErrorsCarryPosition) {
       ParseQuery("SELECT COUNT(*) FROM t WHERE u0 >", table_).ok());
   EXPECT_FALSE(
       ParseQuery("SELECT COUNT(*) FROM t trailing", table_).ok());
+}
+
+TEST_F(ParserTest, NestingIsBounded) {
+  auto parens = [](int depth) {
+    return "SELECT COUNT(*) FROM t WHERE " + std::string(depth, '(') +
+           "u0 > 1" + std::string(depth, ')');
+  };
+  auto nots = [](int depth) {
+    std::string sql = "SELECT COUNT(*) FROM t WHERE ";
+    for (int i = 0; i < depth; ++i) sql += "NOT ";
+    return sql + "u0 > 1";
+  };
+  auto check = [&](const auto& nested) {
+    EXPECT_OK(ParseQuery(nested(kMaxExprNesting), table_).status());
+    EXPECT_TRUE(ParseQuery(nested(kMaxExprNesting + 1), table_)
+                    .status()
+                    .IsInvalidArgument());
+    EXPECT_TRUE(ParseQuery(nested(30000), table_).status().IsInvalidArgument());
+  };
+  check(parens);
+  check(nots);
+  // Parentheses and NOT share the one budget.
+  std::string mixed = "SELECT COUNT(*) FROM t WHERE ";
+  for (int i = 0; i <= kMaxExprNesting / 2; ++i) mixed += "NOT (";
+  mixed += "u0 > 1" + std::string(kMaxExprNesting / 2 + 1, ')');
+  EXPECT_TRUE(ParseQuery(mixed, table_).status().IsInvalidArgument());
+}
+
+TEST_F(ParserTest, NegativeLiterals) {
+  ASSERT_OK_AND_ASSIGN(
+      Query q, ParseQuery("SELECT COUNT(*) FROM t WHERE u0 > -5", table_));
+  ASSERT_NE(q.where, nullptr);
+  EXPECT_EQ(q.where->pred().constant, -5.0f);
+  ASSERT_OK_AND_ASSIGN(
+      q, ParseQuery("SELECT COUNT(*) FROM t WHERE u0 BETWEEN -2.5 AND 3",
+                    table_));
+  EXPECT_TRUE(
+      ParseQuery("SELECT * FROM t LIMIT -1", table_).status().IsInvalidArgument());
+  EXPECT_TRUE(ParseQuery("SELECT KTH_LARGEST(u0, -2) FROM t", table_)
+                  .status()
+                  .IsInvalidArgument());
+}
+
+// Fractional, negative and out-of-domain constants on integer columns are
+// answered exactly: each equals its integer restatement.
+TEST(SqlExactConstantsTest, MatchIntegerRestatements) {
+  auto t = db::MakeTcpIpTable(20000, /*seed=*/54);
+  ASSERT_TRUE(t.ok());
+  const db::Table table = std::move(t).ValueOrDie();
+  gpu::Device device(200, 100);
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<core::Executor> exec,
+                       core::Executor::Make(&device, &table));
+  auto count = [&](const std::string& where) -> uint64_t {
+    auto r = ExecuteSql(exec.get(), "SELECT COUNT(*) FROM flows WHERE " + where);
+    EXPECT_TRUE(r.ok()) << where << ": " << r.status().ToString();
+    return r.ok() ? r.ValueOrDie().count : ~uint64_t{0};
+  };
+  const uint64_t lossy = count("data_loss >= 1");
+  EXPECT_GT(lossy, 0u);
+  EXPECT_LT(lossy, table.num_rows());
+  EXPECT_EQ(count("data_loss > 0.5"), lossy);
+  EXPECT_EQ(count("NOT data_loss < 0.5"), lossy);
+  EXPECT_EQ(count("data_loss BETWEEN 0.5 AND 2.5"),
+            count("data_loss BETWEEN 1 AND 2"));
+  EXPECT_EQ(count("data_loss > -1"), table.num_rows());
+  EXPECT_EQ(count("data_count > -5"), table.num_rows());
+  EXPECT_EQ(count("data_loss = 0.5"), 0u);
+  EXPECT_EQ(count("data_loss < -0.5 OR data_count > 20000000"), 0u);
 }
 
 class SqlEndToEndTest : public ::testing::Test {
