@@ -6,7 +6,9 @@ Usage:
 
 Both directories hold the JSON files the figure binaries emit when
 $GPUDB_BENCH_JSON_DIR is set (see bench/bench_util.h). Rows are matched by
-(figure, label); the gate compares the *model* columns
+(figure, label, occurrence): a figure that repeats a label (fig05 emits
+each record count once per attribute count) has every repeat matched in
+order, so no row hides behind a later one. The gate compares the *model* columns
 (gpu_model_total_ms, cpu_model_ms), which are deterministic functions of the
 pass structure -- wall-clock columns vary with the host and are reported but
 never gated.
@@ -50,7 +52,20 @@ def load_dir(path):
 
 
 def rows_by_label(doc):
-    return {row.get("label"): row for row in doc.get("rows", [])}
+    """Maps (label, occurrence index of that label) -> row."""
+    out = {}
+    seen = {}
+    for row in doc.get("rows", []):
+        label = row.get("label")
+        index = seen.get(label, 0)
+        seen[label] = index + 1
+        out[(label, index)] = row
+    return out
+
+
+def row_name(key):
+    label, index = key
+    return label if index == 0 else f"{label} #{index + 1}"
 
 
 def main():
@@ -76,8 +91,9 @@ def main():
             failures.append(f"{name}: missing from candidate directory")
             continue
         cand_rows = rows_by_label(cand_doc)
-        for label, base_row in rows_by_label(base_doc).items():
-            cand_row = cand_rows.get(label)
+        for key, base_row in rows_by_label(base_doc).items():
+            label = row_name(key)
+            cand_row = cand_rows.get(key)
             if cand_row is None:
                 failures.append(f"{name} [{label}]: row missing from candidate")
                 continue

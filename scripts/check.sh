@@ -74,6 +74,24 @@ ctest --test-dir build --output-on-failure -j
 echo "== bench smoke: figure model times vs bench/baseline =="
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
+# Gate self-test: a figure may repeat a label (fig05 emits each record
+# count once per attribute count). A regression in a repeat that is not the
+# label's last row must still fail the diff with exit status 1.
+mkdir -p "$smoke_dir/selftest/base" "$smoke_dir/selftest/cand"
+echo '{"rows": [{"label": "n", "gpu_model_total_ms": 1.0},
+                {"label": "n", "gpu_model_total_ms": 1.0}]}' \
+  > "$smoke_dir/selftest/base/BENCH_selftest.json"
+echo '{"rows": [{"label": "n", "gpu_model_total_ms": 2.0},
+                {"label": "n", "gpu_model_total_ms": 1.0}]}' \
+  > "$smoke_dir/selftest/cand/BENCH_selftest.json"
+selftest_rc=0
+python3 scripts/bench_diff.py "$smoke_dir/selftest/base" \
+  "$smoke_dir/selftest/cand" >/dev/null 2>&1 || selftest_rc=$?
+if [ "$selftest_rc" -ne 1 ]; then
+  echo "bench_diff self-test: a regressed repeated label exited" \
+       "$selftest_rc, want 1"
+  exit 1
+fi
 for bench in fig02_copy_depth fig03_predicate fig04_range fig05_multiattr \
              fig06_semilinear fig07_kth_vs_k fig08_median \
              fig09_kth_selectivity fig10_accumulator fig_hotcolumn \

@@ -25,124 +25,28 @@ MetricCounter& OpCounter(std::string_view op) {
   return MetricsRegistry::Global().counter("executor." + std::string(op));
 }
 
-/// Resilience outcome counters (cached references; see DeviceMetrics).
-struct ResilienceMetrics {
-  MetricCounter& retried =
-      MetricsRegistry::Global().counter("queries.retried");
-  MetricCounter& retry_attempts =
-      MetricsRegistry::Global().counter("queries.retry_attempts");
-  MetricCounter& fell_back =
-      MetricsRegistry::Global().counter("queries.fell_back");
-  MetricCounter& deadline_exceeded =
-      MetricsRegistry::Global().counter("queries.deadline_exceeded");
-
-  static ResilienceMetrics& Get() {
-    static ResilienceMetrics metrics;
-    return metrics;
-  }
-};
-
-/// Stamps a resilience event into the active trace (zero-duration span
-/// nested under the operator that hit it), so EXPLAIN ANALYZE and the
-/// Chrome trace show *where* a query degraded, not just that it did.
-void TraceResilienceEvent(const char* event, const char* op_name,
-                          int attempt = -1) {
-  if (!Tracer::Global().enabled()) return;
-  TraceSpan span(event);
-  span.AddTag("op", op_name);
-  if (attempt >= 0) span.AddTag("attempt", attempt);
-}
-
-/// Arms the device deadline for one top-level operator when the policy sets
-/// one and no outer scope armed it already (SelectTable nests SelectRowIds).
-/// Disarms on destruction so an expired deadline never leaks into the next
-/// query.
-class DeadlineScope {
- public:
-  DeadlineScope(gpu::Device* device, double deadline_ms)
-      : device_(device),
-        armed_(deadline_ms > 0.0 && !device->deadline_armed()) {
-    if (armed_) device_->ArmDeadline(deadline_ms);
-  }
-  ~DeadlineScope() {
-    if (armed_) device_->DisarmDeadline();
-  }
-  DeadlineScope(const DeadlineScope&) = delete;
-  DeadlineScope& operator=(const DeadlineScope&) = delete;
-
- private:
-  gpu::Device* device_;
-  bool armed_;
-};
-
 }  // namespace
 
+Status Executor::Attempt(const char* op_name, bool consult_gate,
+                        const std::function<Status(Executor&)>& run) {
+  if (consult_gate && breaker_.open()) {
+    // Open breaker: the CPU rung answers without touching the device,
+    // except for the periodic probe that tests whether it recovered.
+    const bool probe = breaker_.Admit();
+    TraceResilienceEvent(
+        probe ? "resilience.breaker_probe" : "resilience.breaker_open",
+        op_name);
+    if (!probe) return Status::DeviceLost("circuit breaker open");
+  }
+  const Status status = run(*this);
+  if (status.ok()) breaker_.RecordSuccess();
+  if (IsDeviceFault(status)) breaker_.RecordFailure();
+  return status;
+}
+
 template <typename T>
-Result<T> Executor::RunResilient(const char* op_name,
-                                 const std::function<Result<T>()>& gpu,
-                                 const std::function<Result<T>()>& cpu) {
-  if (!resilience_.enabled) return gpu();
-  ResilienceMetrics& metrics = ResilienceMetrics::Get();
-  DeadlineScope deadline(device_, resilience_.deadline_ms);
-  const bool can_fall_back = resilience_.allow_cpu_fallback && cpu != nullptr;
-
-  // Open breaker: answer from the CPU tier without touching the device,
-  // except for the periodic probe call that tests whether it recovered.
-  if (breaker_.open() && can_fall_back) {
-    if (!breaker_.AllowProbe()) {
-      metrics.fell_back.Increment();
-      MetricsRegistry::Global()
-          .counter("queries.fell_back." + std::string(op_name))
-          .Increment();
-      TraceResilienceEvent("resilience.breaker_open", op_name);
-      return cpu();
-    }
-    TraceResilienceEvent("resilience.breaker_probe", op_name);
-  }
-
-  Result<T> result = gpu();
-  // Bounded in-place retry of transient faults (kDeviceLost category).
-  for (int retry = 0;
-       !result.ok() && IsTransientFault(result.status()) &&
-       retry < resilience_.retry.max_attempts - 1;
-       ++retry) {
-    if (retry == 0) metrics.retried.Increment();
-    metrics.retry_attempts.Increment();
-    TraceResilienceEvent("resilience.retry", op_name, retry + 1);
-    BackoffSleep(resilience_.retry.DelayMs(retry), resilience_.retry.sleep);
-    device_->ResetQueryState();
-    const Status interrupt = device_->CheckInterrupt();
-    if (!interrupt.ok()) {
-      result = interrupt;
-      break;
-    }
-    result = gpu();
-  }
-  if (result.ok()) {
-    breaker_.RecordSuccess();
-    return result;
-  }
-  const Status& status = result.status();
-  if (status.IsDeadlineExceeded()) {
-    metrics.deadline_exceeded.Increment();
-    return result;
-  }
-  // Cancellation and user errors (bad column, k out of range, ...) are not
-  // the device's fault: propagate untouched, no breaker, no fallback.
-  if (!IsDeviceFault(status)) return result;
-
-  breaker_.RecordFailure();
-  device_->ResetQueryState();
-  if (!can_fall_back) return result;
-  // The deadline may have fired while the device was faulting; the CPU
-  // tier honours it too.
-  GPUDB_RETURN_NOT_OK(device_->CheckInterrupt());
-  metrics.fell_back.Increment();
-  MetricsRegistry::Global()
-      .counter("queries.fell_back." + std::string(op_name))
-      .Increment();
-  TraceResilienceEvent("resilience.fallback", op_name);
-  return cpu();
+Result<T> Executor::Ladder(const LadderOp<T>& op) {
+  return RunLadder(resilience_, {this}, op, *table_, &outcome_);
 }
 
 Executor::Executor(gpu::Device* device, const db::Table* table)
@@ -322,318 +226,327 @@ Result<StencilSelection> Executor::Where(const predicate::ExprPtr& expr) {
   return sel;
 }
 
+LadderOp<uint64_t> Executor::CountOp(predicate::ExprPtr where) {
+  return {"count",
+          [where](Executor& exec) -> Result<uint64_t> {
+            OpCounter("count").Increment();
+            GpuOpSpan op("Count", exec.device_);
+            op.AddTag("rows", exec.table_->num_rows());
+            GPUDB_ASSIGN_OR_RETURN(StencilSelection sel, exec.Where(where));
+            op.AddTag("selected", sel.count);
+            op.AddTag("selectivity", exec.Selectivity(sel.count));
+            return sel.count;
+          },
+          [where](const db::Table& t) { return cpu_tier::Count(t, where); }};
+}
+
+LadderOp<std::vector<uint8_t>> Executor::SelectBitmapOp(
+    predicate::ExprPtr where) {
+  return {"select_bitmap",
+          [where](Executor& exec) -> Result<std::vector<uint8_t>> {
+            OpCounter("select_bitmap").Increment();
+            GpuOpSpan op("SelectBitmap", exec.device_);
+            GPUDB_ASSIGN_OR_RETURN(StencilSelection sel, exec.Where(where));
+            return SelectionToBitmap(exec.device_, sel,
+                                     exec.table_->num_rows());
+          },
+          [where](const db::Table& table) {
+            return cpu_tier::SelectionMask(table, where);
+          }};
+}
+
+LadderOp<std::vector<uint32_t>> Executor::SelectRowIdsOp(
+    predicate::ExprPtr where) {
+  return {"select_row_ids",
+          [where](Executor& exec) -> Result<std::vector<uint32_t>> {
+            OpCounter("select_row_ids").Increment();
+            GpuOpSpan op("SelectRowIds", exec.device_);
+            GPUDB_ASSIGN_OR_RETURN(StencilSelection sel, exec.Where(where));
+            return SelectionToRowIds(exec.device_, sel,
+                                     exec.table_->num_rows());
+          },
+          [where](const db::Table& t) { return cpu_tier::RowIds(t, where); }};
+}
+
+LadderOp<uint64_t> Executor::RangeCountOp(std::string_view column,
+                                          double low, double high) {
+  return {"range_count",
+          [=](Executor& exec) -> Result<uint64_t> {
+            OpCounter("range_count").Increment();
+            GpuOpSpan op("RangeCount", exec.device_);
+            op.AddTag("column", column);
+            GPUDB_ASSIGN_OR_RETURN(size_t col,
+                                   exec.table_->ColumnIndex(column));
+            GPUDB_ASSIGN_OR_RETURN(AttributeBinding binding,
+                                   exec.BindingFor(col));
+            return RangeSelect(exec.device_, binding, low, high);
+          },
+          [=](const db::Table& table) {
+            return cpu_tier::RangeCount(table, column, low, high);
+          }};
+}
+
+LadderOp<double> Executor::AggregateOp(AggregateKind kind,
+                                       std::string_view column,
+                                       predicate::ExprPtr where) {
+  return {
+      "aggregate",
+      [=](Executor& exec) -> Result<double> {
+        OpCounter("aggregate").Increment();
+        GpuOpSpan op("Aggregate", exec.device_);
+        op.AddTag("kind", ToString(kind));
+        op.AddTag("column", column);
+        GPUDB_ASSIGN_OR_RETURN(size_t col, exec.table_->ColumnIndex(column));
+        const db::Column& c = exec.table_->column(col);
+        if (kind != AggregateKind::kCount &&
+            c.type() != db::ColumnType::kInt24) {
+          return Status::NotImplemented(
+              "GPU aggregation of '" + std::string(column) +
+              "' requires an integer column (Accumulator and KthLargest "
+              "operate on binary representations; paper Sections "
+              "4.3.2-4.3.3)");
+        }
+        std::optional<StencilSelection> selection;
+        if (where != nullptr) {
+          GPUDB_ASSIGN_OR_RETURN(StencilSelection sel, exec.Where(where));
+          selection = sel;
+        }
+        GPUDB_ASSIGN_OR_RETURN(AttributeBinding binding, exec.BindingFor(col));
+        return AggregateAttribute(exec.device_, kind, binding, c.bit_width(),
+                                  selection);
+      },
+      [=](const db::Table& table) {
+        return cpu_tier::Aggregate(table, kind, column, where);
+      }};
+}
+
 Result<uint64_t> Executor::Count(const predicate::ExprPtr& where) {
-  return RunResilient<uint64_t>(
-      "count", [&] { return CountGpu(where); },
-      [&] { return cpu_tier::Count(*table_, where); });
+  return Ladder(CountOp(where));
 }
 
 Result<std::vector<uint8_t>> Executor::SelectBitmap(
     const predicate::ExprPtr& where) {
-  return RunResilient<std::vector<uint8_t>>(
-      "select_bitmap", [&] { return SelectBitmapGpu(where); },
-      [&] { return cpu_tier::SelectionMask(*table_, where); });
+  return Ladder(SelectBitmapOp(where));
 }
 
 Result<std::vector<uint32_t>> Executor::SelectRowIds(
     const predicate::ExprPtr& where) {
-  return RunResilient<std::vector<uint32_t>>(
-      "select_row_ids", [&] { return SelectRowIdsGpu(where); },
-      [&] { return cpu_tier::RowIds(*table_, where); });
+  return Ladder(SelectRowIdsOp(where));
 }
 
 Result<std::vector<std::pair<uint32_t, uint32_t>>> Executor::TopK(
     std::string_view column, uint64_t k) {
   // Retry-only: no CPU equivalent wired up (the candidate sort already
   // runs on the CPU; a full fallback would duplicate KthLargest + gather).
-  return RunResilient<std::vector<std::pair<uint32_t, uint32_t>>>(
-      "top_k", [&] { return TopKGpu(column, k); }, nullptr);
+  using Pairs = std::vector<std::pair<uint32_t, uint32_t>>;
+  auto body = [&](Executor&) -> Result<Pairs> {
+    OpCounter("top_k").Increment();
+    GpuOpSpan op("TopK", device_);
+    op.AddTag("column", column);
+    op.AddTag("k", k);
+    GPUDB_ASSIGN_OR_RETURN(size_t col, table_->ColumnIndex(column));
+    const db::Column& c = table_->column(col);
+    if (c.type() != db::ColumnType::kInt24) {
+      return Status::NotImplemented("TopK requires an integer column");
+    }
+    if (k == 0 || k > table_->num_rows()) {
+      return Status::OutOfRange("k out of range");
+    }
+    GPUDB_ASSIGN_OR_RETURN(AttributeBinding binding, BindingFor(col));
+    // Threshold via Routine 4.5, then one selection pass for the candidates
+    // (>= threshold selects at most k plus ties of the threshold value).
+    GPUDB_ASSIGN_OR_RETURN(
+        uint32_t threshold,
+        core::KthLargest(device_, binding, c.bit_width(), k));
+    GPUDB_ASSIGN_OR_RETURN(
+        uint64_t selected,
+        CompareSelect(device_, binding, gpu::CompareOp::kGreaterEqual,
+                      static_cast<double>(threshold)));
+    GPUDB_ASSIGN_OR_RETURN(
+        std::vector<uint32_t> rows,
+        SelectionToRowIds(device_, StencilSelection{1, selected},
+                          table_->num_rows()));
+    Pairs result;
+    result.reserve(rows.size());
+    for (uint32_t row : rows) {
+      result.emplace_back(row, c.int_value(row));
+    }
+    // Sort the candidate handful on the CPU: value descending, row ascending.
+    std::sort(result.begin(), result.end(),
+              [](const auto& a, const auto& b) {
+                return a.second != b.second ? a.second > b.second
+                                            : a.first < b.first;
+              });
+    result.resize(k);  // trim threshold ties beyond k
+    return result;
+  };
+  return Ladder<Pairs>({"top_k", body, nullptr});
 }
 
 Result<double> Executor::Aggregate(AggregateKind kind, std::string_view column,
                                    const predicate::ExprPtr& where) {
-  return RunResilient<double>(
-      "aggregate", [&] { return AggregateGpu(kind, column, where); },
-      [&] { return cpu_tier::Aggregate(*table_, kind, column, where); });
+  return Ladder(AggregateOp(kind, column, where));
 }
 
 Result<uint32_t> Executor::KthLargest(std::string_view column, uint64_t k,
                                       const predicate::ExprPtr& where) {
-  return RunResilient<uint32_t>(
-      "kth_largest", [&] { return KthLargestGpu(column, k, where); },
-      [&] { return cpu_tier::KthLargest(*table_, column, k, where); });
+  auto body = [&](Executor&) -> Result<uint32_t> {
+    OpCounter("kth_largest").Increment();
+    GPUDB_ASSIGN_OR_RETURN(size_t col, table_->ColumnIndex(column));
+    const db::Column& c = table_->column(col);
+    if (c.type() != db::ColumnType::kInt24) {
+      return Status::NotImplemented(
+          "KthLargest requires an integer column (Routine 4.5 builds the "
+          "result bit by bit)");
+    }
+    KthOptions options;
+    if (where != nullptr) {
+      GPUDB_ASSIGN_OR_RETURN(StencilSelection sel, Where(where));
+      options.selection = sel;
+    }
+    GPUDB_ASSIGN_OR_RETURN(AttributeBinding binding, BindingFor(col));
+    return core::KthLargest(device_, binding, c.bit_width(), k, options);
+  };
+  auto cpu = [&](const db::Table& table) {
+    return cpu_tier::KthLargest(table, column, k, where);
+  };
+  return Ladder<uint32_t>({"kth_largest", body, cpu});
 }
 
 Result<std::vector<uint32_t>> Executor::OrderByRowIds(std::string_view column,
                                                       bool ascending) {
-  return RunResilient<std::vector<uint32_t>>(
-      "order_by", [&] { return OrderByRowIdsGpu(column, ascending); }, nullptr);
+  auto body = [&](Executor&) -> Result<std::vector<uint32_t>> {
+    OpCounter("order_by").Increment();
+    GpuOpSpan op("OrderByRowIds", device_);
+    op.AddTag("column", column);
+    op.AddTag("ascending", ascending ? "true" : "false");
+    op.AddTag("rows", table_->num_rows());
+    GPUDB_ASSIGN_OR_RETURN(size_t col, table_->ColumnIndex(column));
+    const db::Column& c = table_->column(col);
+    std::vector<uint32_t> row_ids(table_->num_rows());
+    for (uint32_t i = 0; i < row_ids.size(); ++i) row_ids[i] = i;
+    GPUDB_ASSIGN_OR_RETURN(SortedPairs sorted,
+                           BitonicSortPairs(device_, c.values(), row_ids));
+    if (!ascending) {
+      std::reverse(sorted.payloads.begin(), sorted.payloads.end());
+    }
+    return sorted.payloads;
+  };
+  return Ladder<std::vector<uint32_t>>({"order_by", body, nullptr});
 }
 
 Result<uint64_t> Executor::RangeCount(std::string_view column, double low,
                                       double high) {
-  return RunResilient<uint64_t>(
-      "range_count", [&] { return RangeCountGpu(column, low, high); },
-      [&] { return cpu_tier::RangeCount(*table_, column, low, high); });
+  return Ladder(RangeCountOp(column, low, high));
 }
 
 Result<uint64_t> Executor::SemilinearCount(
     const std::vector<std::pair<std::string, float>>& weighted_columns,
     gpu::CompareOp op, float b) {
-  return RunResilient<uint64_t>(
-      "semilinear_count",
-      [&] { return SemilinearCountGpu(weighted_columns, op, b); }, nullptr);
+  auto body = [&](Executor&) -> Result<uint64_t> {
+    OpCounter("semilinear_count").Increment();
+    GpuOpSpan span("SemilinearCount", device_);
+    span.AddTag("columns", weighted_columns.size());
+    if (weighted_columns.empty() || weighted_columns.size() > 8) {
+      return Status::InvalidArgument(
+          "semi-linear queries take 1-8 weighted columns (vectors longer than "
+          "one texture's four channels are split across two texture units, "
+          "paper Section 4.1.2)");
+    }
+    std::vector<size_t> cols;
+    cols.reserve(weighted_columns.size());
+    for (const auto& [name, weight] : weighted_columns) {
+      GPUDB_ASSIGN_OR_RETURN(size_t col, table_->ColumnIndex(name));
+      cols.push_back(col);
+    }
+    const uint32_t width = static_cast<uint32_t>(
+        std::min<uint64_t>(table_->num_rows(), db::kDefaultTextureWidth));
+
+    if (weighted_columns.size() <= static_cast<size_t>(gpu::kMaxChannels)) {
+      SemilinearQuery query;
+      query.op = op;
+      query.b = b;
+      for (size_t i = 0; i < weighted_columns.size(); ++i) {
+        query.weights[i] = weighted_columns[i].second;
+      }
+      GPUDB_ASSIGN_OR_RETURN(gpu::Texture tex,
+                             table_->ToTexture(cols, width));
+      GPUDB_ASSIGN_OR_RETURN(gpu::TextureId id,
+                             device_->UploadTexture(std::move(tex)));
+      return SemilinearSelect(device_, id, query);
+    }
+
+    // 5-8 columns: split across two textures and run the wide program.
+    const std::vector<size_t> first(cols.begin(), cols.begin() + 4);
+    const std::vector<size_t> second(cols.begin() + 4, cols.end());
+    std::array<float, 8> weights = {0, 0, 0, 0, 0, 0, 0, 0};
+    for (size_t i = 0; i < weighted_columns.size(); ++i) {
+      weights[i] = weighted_columns[i].second;
+    }
+    GPUDB_ASSIGN_OR_RETURN(gpu::Texture tex_a,
+                           table_->ToTexture(first, width));
+    GPUDB_ASSIGN_OR_RETURN(gpu::Texture tex_b,
+                           table_->ToTexture(second, width));
+    GPUDB_ASSIGN_OR_RETURN(gpu::TextureId id_a,
+                           device_->UploadTexture(std::move(tex_a)));
+    GPUDB_ASSIGN_OR_RETURN(gpu::TextureId id_b,
+                           device_->UploadTexture(std::move(tex_b)));
+    return SemilinearSelectWide(device_, id_a, id_b, weights, op, b);
+  };
+  return Ladder<uint64_t>({"semilinear_count", body, nullptr});
 }
 
 Result<std::vector<GroupByRow>> Executor::GroupBy(std::string_view key_column,
                                                   std::string_view value_column,
                                                   AggregateKind kind,
                                                   uint64_t max_groups) {
-  return RunResilient<std::vector<GroupByRow>>(
-      "group_by",
-      [&] { return GroupByGpu(key_column, value_column, kind, max_groups); },
-      nullptr);
+  auto body = [&](Executor&) -> Result<std::vector<GroupByRow>> {
+    OpCounter("group_by").Increment();
+    GpuOpSpan op("GroupBy", device_);
+    op.AddTag("key", key_column);
+    op.AddTag("value", value_column);
+    op.AddTag("kind", ToString(kind));
+    GPUDB_ASSIGN_OR_RETURN(size_t key_col, table_->ColumnIndex(key_column));
+    GPUDB_ASSIGN_OR_RETURN(size_t value_col,
+                           table_->ColumnIndex(value_column));
+    const db::Column& key = table_->column(key_col);
+    const db::Column& value = table_->column(value_col);
+    if (key.type() != db::ColumnType::kInt24 ||
+        value.type() != db::ColumnType::kInt24) {
+      return Status::NotImplemented(
+          "GROUP BY requires integer key and value columns");
+    }
+    GPUDB_ASSIGN_OR_RETURN(AttributeBinding key_attr, BindingFor(key_col));
+    GPUDB_ASSIGN_OR_RETURN(AttributeBinding value_attr,
+                           BindingFor(value_col));
+    return GroupByAggregate(device_, key_attr, key.bit_width(), value_attr,
+                            value.bit_width(), kind, max_groups);
+  };
+  return Ladder<std::vector<GroupByRow>>({"group_by", body, nullptr});
 }
 
 Result<std::vector<uint32_t>> Executor::Quantiles(std::string_view column,
                                                   int q) {
-  return RunResilient<std::vector<uint32_t>>(
-      "quantiles", [&] { return QuantilesGpu(column, q); }, nullptr);
-}
-
-Result<uint64_t> Executor::CountGpu(const predicate::ExprPtr& where) {
-  OpCounter("count").Increment();
-  GpuOpSpan op("Count", device_);
-  op.AddTag("rows", table_->num_rows());
-  GPUDB_ASSIGN_OR_RETURN(StencilSelection sel, Where(where));
-  op.AddTag("selected", sel.count);
-  op.AddTag("selectivity", Selectivity(sel.count));
-  return sel.count;
-}
-
-Result<std::vector<uint8_t>> Executor::SelectBitmapGpu(
-    const predicate::ExprPtr& where) {
-  OpCounter("select_bitmap").Increment();
-  GpuOpSpan op("SelectBitmap", device_);
-  GPUDB_ASSIGN_OR_RETURN(StencilSelection sel, Where(where));
-  return SelectionToBitmap(device_, sel, table_->num_rows());
-}
-
-Result<std::vector<uint32_t>> Executor::SelectRowIdsGpu(
-    const predicate::ExprPtr& where) {
-  OpCounter("select_row_ids").Increment();
-  GpuOpSpan op("SelectRowIds", device_);
-  GPUDB_ASSIGN_OR_RETURN(StencilSelection sel, Where(where));
-  return SelectionToRowIds(device_, sel, table_->num_rows());
+  auto body = [&](Executor&) -> Result<std::vector<uint32_t>> {
+    OpCounter("quantiles").Increment();
+    GpuOpSpan op("Quantiles", device_);
+    op.AddTag("column", column);
+    op.AddTag("q", q);
+    GPUDB_ASSIGN_OR_RETURN(size_t col, table_->ColumnIndex(column));
+    const db::Column& c = table_->column(col);
+    if (c.type() != db::ColumnType::kInt24) {
+      return Status::NotImplemented("quantiles require an integer column");
+    }
+    GPUDB_ASSIGN_OR_RETURN(AttributeBinding attr, BindingFor(col));
+    return GpuQuantiles(device_, attr, c.bit_width(), q);
+  };
+  return Ladder<std::vector<uint32_t>>({"quantiles", body, nullptr});
 }
 
 Result<db::Table> Executor::SelectTable(const predicate::ExprPtr& where) {
   OpCounter("select_table").Increment();
   GPUDB_ASSIGN_OR_RETURN(std::vector<uint32_t> rows, SelectRowIds(where));
   return table_->GatherRows(rows);
-}
-
-Result<std::vector<std::pair<uint32_t, uint32_t>>> Executor::TopKGpu(
-    std::string_view column, uint64_t k) {
-  OpCounter("top_k").Increment();
-  GpuOpSpan op("TopK", device_);
-  op.AddTag("column", column);
-  op.AddTag("k", k);
-  GPUDB_ASSIGN_OR_RETURN(size_t col, table_->ColumnIndex(column));
-  const db::Column& c = table_->column(col);
-  if (c.type() != db::ColumnType::kInt24) {
-    return Status::NotImplemented("TopK requires an integer column");
-  }
-  if (k == 0 || k > table_->num_rows()) {
-    return Status::OutOfRange("k out of range");
-  }
-  GPUDB_ASSIGN_OR_RETURN(AttributeBinding binding, BindingFor(col));
-  // Threshold via Routine 4.5, then one selection pass for the candidates
-  // (>= threshold selects at most k plus ties of the threshold value).
-  GPUDB_ASSIGN_OR_RETURN(uint32_t threshold,
-                         core::KthLargest(device_, binding, c.bit_width(), k));
-  GPUDB_ASSIGN_OR_RETURN(
-      uint64_t selected,
-      CompareSelect(device_, binding, gpu::CompareOp::kGreaterEqual,
-                    static_cast<double>(threshold)));
-  GPUDB_ASSIGN_OR_RETURN(
-      std::vector<uint32_t> rows,
-      SelectionToRowIds(device_, StencilSelection{1, selected},
-                        table_->num_rows()));
-  std::vector<std::pair<uint32_t, uint32_t>> result;
-  result.reserve(rows.size());
-  for (uint32_t row : rows) {
-    result.emplace_back(row, c.int_value(row));
-  }
-  // Sort the candidate handful on the CPU: value descending, row ascending.
-  std::sort(result.begin(), result.end(),
-            [](const auto& a, const auto& b) {
-              return a.second != b.second ? a.second > b.second
-                                          : a.first < b.first;
-            });
-  result.resize(k);  // trim threshold ties beyond k
-  return result;
-}
-
-Result<double> Executor::AggregateGpu(AggregateKind kind,
-                                      std::string_view column,
-                                      const predicate::ExprPtr& where) {
-  OpCounter("aggregate").Increment();
-  GpuOpSpan op("Aggregate", device_);
-  op.AddTag("kind", ToString(kind));
-  op.AddTag("column", column);
-  GPUDB_ASSIGN_OR_RETURN(size_t col, table_->ColumnIndex(column));
-  const db::Column& c = table_->column(col);
-  if (kind != AggregateKind::kCount &&
-      c.type() != db::ColumnType::kInt24) {
-    return Status::NotImplemented(
-        "GPU aggregation of '" + std::string(column) +
-        "' requires an integer column (Accumulator and KthLargest operate on "
-        "binary representations; paper Sections 4.3.2-4.3.3)");
-  }
-  std::optional<StencilSelection> selection;
-  if (where != nullptr) {
-    GPUDB_ASSIGN_OR_RETURN(StencilSelection sel, Where(where));
-    selection = sel;
-  }
-  GPUDB_ASSIGN_OR_RETURN(AttributeBinding binding, BindingFor(col));
-  return AggregateAttribute(device_, kind, binding, c.bit_width(), selection);
-}
-
-Result<uint32_t> Executor::KthLargestGpu(std::string_view column, uint64_t k,
-                                         const predicate::ExprPtr& where) {
-  OpCounter("kth_largest").Increment();
-  GPUDB_ASSIGN_OR_RETURN(size_t col, table_->ColumnIndex(column));
-  const db::Column& c = table_->column(col);
-  if (c.type() != db::ColumnType::kInt24) {
-    return Status::NotImplemented(
-        "KthLargest requires an integer column (Routine 4.5 builds the "
-        "result bit by bit)");
-  }
-  KthOptions options;
-  if (where != nullptr) {
-    GPUDB_ASSIGN_OR_RETURN(StencilSelection sel, Where(where));
-    options.selection = sel;
-  }
-  GPUDB_ASSIGN_OR_RETURN(AttributeBinding binding, BindingFor(col));
-  return core::KthLargest(device_, binding, c.bit_width(), k, options);
-}
-
-Result<std::vector<uint32_t>> Executor::OrderByRowIdsGpu(
-    std::string_view column, bool ascending) {
-  OpCounter("order_by").Increment();
-  GpuOpSpan op("OrderByRowIds", device_);
-  op.AddTag("column", column);
-  op.AddTag("ascending", ascending ? "true" : "false");
-  op.AddTag("rows", table_->num_rows());
-  GPUDB_ASSIGN_OR_RETURN(size_t col, table_->ColumnIndex(column));
-  const db::Column& c = table_->column(col);
-  std::vector<uint32_t> row_ids(table_->num_rows());
-  for (uint32_t i = 0; i < row_ids.size(); ++i) row_ids[i] = i;
-  GPUDB_ASSIGN_OR_RETURN(SortedPairs sorted,
-                         BitonicSortPairs(device_, c.values(), row_ids));
-  if (!ascending) {
-    std::reverse(sorted.payloads.begin(), sorted.payloads.end());
-  }
-  return sorted.payloads;
-}
-
-Result<uint64_t> Executor::RangeCountGpu(std::string_view column, double low,
-                                         double high) {
-  OpCounter("range_count").Increment();
-  GpuOpSpan op("RangeCount", device_);
-  op.AddTag("column", column);
-  GPUDB_ASSIGN_OR_RETURN(size_t col, table_->ColumnIndex(column));
-  GPUDB_ASSIGN_OR_RETURN(AttributeBinding binding, BindingFor(col));
-  return RangeSelect(device_, binding, low, high);
-}
-
-Result<uint64_t> Executor::SemilinearCountGpu(
-    const std::vector<std::pair<std::string, float>>& weighted_columns,
-    gpu::CompareOp op, float b) {
-  OpCounter("semilinear_count").Increment();
-  GpuOpSpan span("SemilinearCount", device_);
-  span.AddTag("columns", weighted_columns.size());
-  if (weighted_columns.empty() || weighted_columns.size() > 8) {
-    return Status::InvalidArgument(
-        "semi-linear queries take 1-8 weighted columns (vectors longer than "
-        "one texture's four channels are split across two texture units, "
-        "paper Section 4.1.2)");
-  }
-  std::vector<size_t> cols;
-  cols.reserve(weighted_columns.size());
-  for (const auto& [name, weight] : weighted_columns) {
-    GPUDB_ASSIGN_OR_RETURN(size_t col, table_->ColumnIndex(name));
-    cols.push_back(col);
-  }
-  const uint32_t width = static_cast<uint32_t>(
-      std::min<uint64_t>(table_->num_rows(), db::kDefaultTextureWidth));
-
-  if (weighted_columns.size() <= static_cast<size_t>(gpu::kMaxChannels)) {
-    SemilinearQuery query;
-    query.op = op;
-    query.b = b;
-    for (size_t i = 0; i < weighted_columns.size(); ++i) {
-      query.weights[i] = weighted_columns[i].second;
-    }
-    GPUDB_ASSIGN_OR_RETURN(gpu::Texture tex, table_->ToTexture(cols, width));
-    GPUDB_ASSIGN_OR_RETURN(gpu::TextureId id,
-                           device_->UploadTexture(std::move(tex)));
-    return SemilinearSelect(device_, id, query);
-  }
-
-  // 5-8 columns: split across two textures and run the wide program.
-  const std::vector<size_t> first(cols.begin(), cols.begin() + 4);
-  const std::vector<size_t> second(cols.begin() + 4, cols.end());
-  std::array<float, 8> weights = {0, 0, 0, 0, 0, 0, 0, 0};
-  for (size_t i = 0; i < weighted_columns.size(); ++i) {
-    weights[i] = weighted_columns[i].second;
-  }
-  GPUDB_ASSIGN_OR_RETURN(gpu::Texture tex_a, table_->ToTexture(first, width));
-  GPUDB_ASSIGN_OR_RETURN(gpu::Texture tex_b, table_->ToTexture(second, width));
-  GPUDB_ASSIGN_OR_RETURN(gpu::TextureId id_a,
-                         device_->UploadTexture(std::move(tex_a)));
-  GPUDB_ASSIGN_OR_RETURN(gpu::TextureId id_b,
-                         device_->UploadTexture(std::move(tex_b)));
-  return SemilinearSelectWide(device_, id_a, id_b, weights, op, b);
-}
-
-Result<std::vector<GroupByRow>> Executor::GroupByGpu(
-    std::string_view key_column, std::string_view value_column,
-    AggregateKind kind, uint64_t max_groups) {
-  OpCounter("group_by").Increment();
-  GpuOpSpan op("GroupBy", device_);
-  op.AddTag("key", key_column);
-  op.AddTag("value", value_column);
-  op.AddTag("kind", ToString(kind));
-  GPUDB_ASSIGN_OR_RETURN(size_t key_col, table_->ColumnIndex(key_column));
-  GPUDB_ASSIGN_OR_RETURN(size_t value_col, table_->ColumnIndex(value_column));
-  const db::Column& key = table_->column(key_col);
-  const db::Column& value = table_->column(value_col);
-  if (key.type() != db::ColumnType::kInt24 ||
-      value.type() != db::ColumnType::kInt24) {
-    return Status::NotImplemented(
-        "GROUP BY requires integer key and value columns");
-  }
-  GPUDB_ASSIGN_OR_RETURN(AttributeBinding key_attr, BindingFor(key_col));
-  GPUDB_ASSIGN_OR_RETURN(AttributeBinding value_attr, BindingFor(value_col));
-  return GroupByAggregate(device_, key_attr, key.bit_width(), value_attr,
-                          value.bit_width(), kind, max_groups);
-}
-
-Result<std::vector<uint32_t>> Executor::QuantilesGpu(std::string_view column,
-                                                     int q) {
-  OpCounter("quantiles").Increment();
-  GpuOpSpan op("Quantiles", device_);
-  op.AddTag("column", column);
-  op.AddTag("q", q);
-  GPUDB_ASSIGN_OR_RETURN(size_t col, table_->ColumnIndex(column));
-  const db::Column& c = table_->column(col);
-  if (c.type() != db::ColumnType::kInt24) {
-    return Status::NotImplemented("quantiles require an integer column");
-  }
-  GPUDB_ASSIGN_OR_RETURN(AttributeBinding attr, BindingFor(col));
-  return GpuQuantiles(device_, attr, c.bit_width(), q);
 }
 
 }  // namespace core

@@ -20,6 +20,7 @@
 #include "src/db/stats.h"
 #include "src/db/table.h"
 #include "src/gpu/device.h"
+#include "src/gpu/device_pool.h"
 #include "src/predicate/cnf.h"
 #include "src/predicate/expr.h"
 
@@ -50,7 +51,7 @@ struct PlanOptions {
 ///       predicate::Expr::Pred(0, gpu::CompareOp::kGreaterEqual, 100.0f),
 ///       predicate::Expr::Pred(1, gpu::CompareOp::kLess, 5.0f));
 ///   GPUDB_ASSIGN_OR_RETURN(uint64_t n, exec->Count(where));
-class Executor {
+class Executor : public Placement {
  public:
   /// Creates an executor for `table` on `device`. Fails if the table is
   /// empty or does not fit the device framebuffer. Sets the device viewport
@@ -119,6 +120,21 @@ class Executor {
   /// q-quantiles of an integer column (equi-depth histogram boundaries).
   [[nodiscard]] Result<std::vector<uint32_t>> Quantiles(std::string_view column, int q);
 
+  // The shardable operators (DESIGN.md §11): the public methods above and
+  // core::PoolExecutor's shards run these one definitions. A returned op
+  // borrows `column`.
+
+  static LadderOp<uint64_t> CountOp(predicate::ExprPtr where);
+  static LadderOp<std::vector<uint8_t>> SelectBitmapOp(
+      predicate::ExprPtr where);
+  static LadderOp<std::vector<uint32_t>> SelectRowIdsOp(
+      predicate::ExprPtr where);
+  static LadderOp<uint64_t> RangeCountOp(std::string_view column, double low,
+                                         double high);
+  static LadderOp<double> AggregateOp(AggregateKind kind,
+                                      std::string_view column,
+                                      predicate::ExprPtr where);
+
   const db::Table& table() const { return *table_; }
   gpu::Device& device() { return *device_; }
 
@@ -135,12 +151,16 @@ class Executor {
   /// section 11.
   void set_resilience_options(const ResilienceOptions& options) {
     resilience_ = options;
-    breaker_.set_threshold(options.breaker_threshold);
   }
   const ResilienceOptions& resilience_options() const { return resilience_; }
 
-  /// The breaker guarding this executor's GPU path (open = degraded).
-  const CircuitBreaker& breaker() const { return breaker_; }
+  /// The health gate guarding this executor's device (open = degraded).
+  const gpu::HealthGate& breaker() const { return breaker_; }
+
+  /// What the ladder did (retries, CPU answers) over every entry point
+  /// called since the last ResetOutcome; sql::Session logs it per statement.
+  const LadderOutcome& outcome() const { return outcome_; }
+  void ResetOutcome() { outcome_ = LadderOutcome(); }
 
   /// Attaches ANALYZE statistics (owned by the db::Catalog; may be null to
   /// detach). With stats attached, Where() tags each selection span with
@@ -189,42 +209,17 @@ class Executor {
   [[nodiscard]] Result<std::vector<GpuClause>> Lower(
       const std::vector<std::vector<predicate::SimplePredicate>>& groups);
 
-  // --- Resilience (core/resilience.h) ------------------------------------
+  // --- The degradation ladder (core/resilience.h) ------------------------
 
-  /// Runs `gpu` under the resilience policy: arms the deadline, retries
-  /// transient faults with backoff, counts device faults toward the
-  /// breaker, and degrades to `cpu` (when non-null and fallback is
-  /// allowed) after unrecoverable device faults or while the breaker is
-  /// open. User errors and deadline/cancel statuses propagate untouched.
+  /// The ladder's one placement: this executor's device behind `breaker_`.
+  [[nodiscard]] Status Attempt(
+      const char* op_name, bool consult_gate,
+      const std::function<Status(Executor&)>& run) override;
+
+  /// Runs `op` on the ladder over this executor's one placement, adding
+  /// what the ladder did to `outcome_`.
   template <typename T>
-  [[nodiscard]] Result<T> RunResilient(const char* op_name,
-                         const std::function<Result<T>()>& gpu,
-                         const std::function<Result<T>()>& cpu);
-
-  // GPU bodies of the public entry points (the pre-resilience behaviour;
-  // public methods wrap these in RunResilient).
-  [[nodiscard]] Result<uint64_t> CountGpu(const predicate::ExprPtr& where);
-  [[nodiscard]] Result<std::vector<uint8_t>> SelectBitmapGpu(const predicate::ExprPtr& where);
-  [[nodiscard]] Result<std::vector<uint32_t>> SelectRowIdsGpu(
-      const predicate::ExprPtr& where);
-  [[nodiscard]] Result<std::vector<std::pair<uint32_t, uint32_t>>> TopKGpu(
-      std::string_view column, uint64_t k);
-  [[nodiscard]] Result<double> AggregateGpu(AggregateKind kind, std::string_view column,
-                              const predicate::ExprPtr& where);
-  [[nodiscard]] Result<uint32_t> KthLargestGpu(std::string_view column, uint64_t k,
-                                 const predicate::ExprPtr& where);
-  [[nodiscard]] Result<std::vector<uint32_t>> OrderByRowIdsGpu(std::string_view column,
-                                                 bool ascending);
-  [[nodiscard]] Result<uint64_t> RangeCountGpu(std::string_view column, double low,
-                                 double high);
-  [[nodiscard]] Result<uint64_t> SemilinearCountGpu(
-      const std::vector<std::pair<std::string, float>>& weighted_columns,
-      gpu::CompareOp op, float b);
-  [[nodiscard]] Result<std::vector<GroupByRow>> GroupByGpu(std::string_view key_column,
-                                             std::string_view value_column,
-                                             AggregateKind kind,
-                                             uint64_t max_groups);
-  [[nodiscard]] Result<std::vector<uint32_t>> QuantilesGpu(std::string_view column, int q);
+  [[nodiscard]] Result<T> Ladder(const LadderOp<T>& op);
 
   gpu::Device* device_;
   const db::Table* table_;
@@ -236,7 +231,8 @@ class Executor {
   std::map<std::pair<size_t, size_t>, gpu::TextureId> pair_textures_;
 
   ResilienceOptions resilience_;
-  CircuitBreaker breaker_{3};
+  gpu::HealthGate breaker_;
+  LadderOutcome outcome_;
 };
 
 }  // namespace core

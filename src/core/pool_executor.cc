@@ -3,15 +3,14 @@
 #include <string>
 #include <utility>
 
-#include "src/common/metrics.h"
 #include "src/common/trace.h"
-#include "src/core/cpu_tier.h"
 
 namespace gpudb {
 namespace core {
 
 Result<std::unique_ptr<PoolExecutor>> PoolExecutor::Make(
-    gpu::DevicePool* pool, const db::ShardedTable* sharded) {
+    gpu::DevicePool* pool, const db::ShardedTable* sharded,
+    const ResilienceOptions& resilience) {
   if (pool == nullptr || sharded == nullptr) {
     return Status::InvalidArgument(
         "PoolExecutor requires a device pool and a sharded table");
@@ -36,7 +35,8 @@ Result<std::unique_ptr<PoolExecutor>> PoolExecutor::Make(
           "shard placement references a device outside the pool");
     }
   }
-  return std::unique_ptr<PoolExecutor>(new PoolExecutor(pool, sharded));
+  return std::unique_ptr<PoolExecutor>(
+      new PoolExecutor(pool, sharded, resilience));
 }
 
 bool PoolExecutor::ShardableAggregate(AggregateKind kind) {
@@ -53,17 +53,6 @@ bool PoolExecutor::ShardableAggregate(AggregateKind kind) {
   return false;
 }
 
-void PoolExecutor::set_resilience_options(const ResilienceOptions& options) {
-  resilience_ = options;
-  // The pool owns the degradation ladder: per-shard attempts may retry in
-  // place, but the CPU rung is a failover decision made here, after the
-  // replica, never inside a shard executor.
-  resilience_.allow_cpu_fallback = false;
-  for (auto& [key, exec] : executors_) {
-    exec->set_resilience_options(resilience_);
-  }
-}
-
 Result<Executor*> PoolExecutor::ShardExecutorFor(size_t shard_index,
                                             int device_id) {
   const auto key = std::make_pair(shard_index, device_id);
@@ -73,7 +62,6 @@ Result<Executor*> PoolExecutor::ShardExecutorFor(size_t shard_index,
     GPUDB_ASSIGN_OR_RETURN(
         std::unique_ptr<Executor> exec,
         Executor::Make(&pool_->device(device_id), &shard.table));
-    exec->set_resilience_options(resilience_);
     it = executors_.emplace(key, std::move(exec)).first;
     return it->second.get();
   }
@@ -84,11 +72,74 @@ Result<Executor*> PoolExecutor::ShardExecutorFor(size_t shard_index,
   return it->second.get();
 }
 
+class PoolExecutor::ShardPlacement final : public Placement {
+ public:
+  ShardPlacement(PoolExecutor* owner, size_t shard_index, int device_id,
+                 const char* role)
+      : owner_(owner),
+        shard_index_(shard_index),
+        device_id_(device_id),
+        role_(role) {}
+
+  Status Attempt(const char* op_name, bool consult_gate,
+                 const std::function<Status(Executor&)>& run) override {
+    gpu::DevicePool& pool = *owner_->pool_;
+    TraceSpan span("pool.shard");
+    span.AddTag("op", op_name);
+    span.AddTag("shard", static_cast<uint64_t>(shard_index_));
+    span.AddTag("device", device_id_);
+    span.AddTag("role", role_);
+    const bool admitted = consult_gate ? pool.AdmitDispatch(device_id_)
+                                       : !pool.forced_lost(device_id_);
+    if (!admitted) {
+      return Refused(&span, Status::DeviceLost(
+                                "device " + std::to_string(device_id_) +
+                                " refused the shard"));
+    }
+    // TryAcquire re-checks a forced loss under the lease: the admission
+    // verdict may have raced ForceDeviceLost while this shard waited.
+    Result<gpu::DevicePool::Lease> lease = pool.TryAcquire(device_id_);
+    if (!lease.ok()) return Refused(&span, lease.status());
+    GPUDB_ASSIGN_OR_RETURN(Executor * exec,
+                           owner_->ShardExecutorFor(shard_index_, device_id_));
+    const gpu::DeviceCounters& counters = exec->device().counters();
+    const gpu::CounterMark before = gpu::CounterMark::Of(counters);
+    const Status status = run(*exec);
+    gpu::AddDeltaSince(before, counters, &owner_->last_stats_.work);
+    if (status.ok()) {
+      pool.RecordSuccess(device_id_);
+      span.AddTag("outcome", "ok");
+    } else if (IsDeviceFault(status)) {
+      pool.RecordFailure(device_id_);
+      span.AddTag("outcome", "fault");
+      HopOff();
+    }
+    return status;
+  }
+
+ private:
+  Status Refused(TraceSpan* span, Status why) {
+    span->AddTag("outcome", "refused");
+    HopOff();
+    return why;
+  }
+
+  /// Bookkeeping for a shard leaving this device for a later rung.
+  void HopOff() {
+    LadderOutcome& stats = owner_->last_stats_;
+    owner_->pool_->RecordFailover(device_id_);
+    ++stats.failovers;
+    if (stats.first_failed_device < 0) stats.first_failed_device = device_id_;
+  }
+
+  PoolExecutor* owner_;
+  size_t shard_index_;
+  int device_id_;
+  const char* role_;
+};
+
 template <typename T>
-Result<T> PoolExecutor::RunShard(
-    size_t shard_index, const char* op_name,
-    const std::function<Result<T>(Executor&)>& gpu_op,
-    const std::function<Result<T>(const db::Table&)>& cpu_op) {
+Result<T> PoolExecutor::Ladder(size_t shard_index, const LadderOp<T>& op) {
   const db::Shard& shard = sharded_->shard(shard_index);
   // Cancellation stays responsive across the whole scatter: every shard
   // dispatch starts by consulting the primary's interrupt flag.
@@ -97,106 +148,38 @@ Result<T> PoolExecutor::RunShard(
   if (last_stats_.first_device < 0) {
     last_stats_.first_device = shard.placement.primary;
   }
-  const int candidates[2] = {shard.placement.primary,
-                             shard.placement.replica};
-  const int num_candidates =
-      (failover_.try_replica && shard.placement.replicated()) ? 2 : 1;
-  Status last_fault = Status::OK();
-  auto hop_off = [&](int device_id) {
-    pool_->RecordFailover(device_id);
-    ++last_stats_.failovers;
-    if (last_stats_.first_failed_device < 0) {
-      last_stats_.first_failed_device = device_id;
-    }
-  };
-  for (int attempt = 0; attempt < num_candidates; ++attempt) {
-    const int device_id = candidates[attempt];
-    TraceSpan span("pool.shard");
-    span.AddTag("op", op_name);
-    span.AddTag("shard", static_cast<uint64_t>(shard_index));
-    span.AddTag("device", device_id);
-    span.AddTag("role", attempt == 0 ? "primary" : "replica");
-    if (!pool_->AdmitDispatch(device_id)) {
-      span.AddTag("outcome", "refused");
-      hop_off(device_id);
-      continue;
-    }
-    Result<gpu::DevicePool::Lease> lease = pool_->TryAcquire(device_id);
-    if (!lease.ok()) {
-      // The admission verdict raced ForceDeviceLost: the card was pulled
-      // while this shard waited for the lease. Same treatment as a refusal.
-      span.AddTag("outcome", "refused");
-      hop_off(device_id);
-      continue;
-    }
-    Result<Executor*> exec = ShardExecutorFor(shard_index, device_id);
-    if (!exec.ok()) return exec.status();
-    const gpu::DeviceCounters& counters = pool_->device(device_id).counters();
-    const gpu::CounterMark before = gpu::CounterMark::Of(counters);
-    Result<T> result = gpu_op(*exec.ValueOrDie());
-    gpu::AddDeltaSince(before, counters, &last_stats_.work);
-    if (result.ok()) {
-      pool_->RecordSuccess(device_id);
-      span.AddTag("outcome", "ok");
-      return result;
-    }
-    // Deadline/cancel is the query's budget, not the device's fault -- and
-    // the replica cannot beat the clock either.
-    if (result.status().IsDeadlineExceeded() ||
-        result.status().IsCancelled()) {
-      return result;
-    }
-    // User errors propagate untouched: the replica holds an identical copy
-    // and would fail identically.
-    if (!IsDeviceFault(result.status())) return result;
-    pool_->RecordFailure(device_id);
-    last_fault = result.status();
-    span.AddTag("outcome", "fault");
-    hop_off(device_id);
-  }
-  if (!failover_.allow_cpu_fallback) {
-    if (!last_fault.ok()) return last_fault;
-    return Status::DeviceLost(
-        "shard " + std::to_string(shard_index) +
-        ": every placement quarantined and CPU fallback disabled");
-  }
-  last_stats_.cpu_fallback = true;
-  MetricsRegistry::Global().counter("queries.fell_back").Increment();
-  return cpu_op(shard.table);
+  ShardPlacement primary(this, shard_index, shard.placement.primary,
+                         "primary");
+  ShardPlacement replica(this, shard_index, shard.placement.replica,
+                         "replica");
+  std::vector<Placement*> placements = {&primary};
+  if (shard.placement.replicated()) placements.push_back(&replica);
+  return RunLadder(resilience_, placements, op, shard.table, &last_stats_);
 }
 
-Result<uint64_t> PoolExecutor::ShardCount(size_t shard_index,
-                                          const predicate::ExprPtr& where) {
-  return RunShard<uint64_t>(
-      shard_index, "Count",
-      [&](Executor& exec) { return exec.Count(where); },
-      [&](const db::Table& table) { return cpu_tier::Count(table, where); });
-}
-
-Result<uint64_t> PoolExecutor::Count(const predicate::ExprPtr& where) {
-  last_stats_ = PoolQueryStats();
-  uint64_t total = 0;
+template <typename T>
+Result<T> PoolExecutor::SumShards(const LadderOp<T>& op) {
+  last_stats_ = LadderOutcome();
+  T total = 0;
   for (size_t i = 0; i < sharded_->num_shards(); ++i) {
-    GPUDB_ASSIGN_OR_RETURN(uint64_t count, ShardCount(i, where));
-    total += count;
+    GPUDB_ASSIGN_OR_RETURN(T part, Ladder(i, op));
+    total += part;
   }
   return total;
 }
 
+Result<uint64_t> PoolExecutor::Count(const predicate::ExprPtr& where) {
+  return SumShards(Executor::CountOp(where));
+}
+
 Result<std::vector<uint8_t>> PoolExecutor::SelectBitmap(
     const predicate::ExprPtr& where) {
-  last_stats_ = PoolQueryStats();
+  last_stats_ = LadderOutcome();
+  const LadderOp<std::vector<uint8_t>> op = Executor::SelectBitmapOp(where);
   std::vector<uint8_t> bitmap;
   bitmap.reserve(sharded_->num_rows());
   for (size_t i = 0; i < sharded_->num_shards(); ++i) {
-    GPUDB_ASSIGN_OR_RETURN(
-        std::vector<uint8_t> part,
-        RunShard<std::vector<uint8_t>>(
-            i, "SelectBitmap",
-            [&](Executor& exec) { return exec.SelectBitmap(where); },
-            [&](const db::Table& table) {
-              return cpu_tier::SelectionMask(table, where);
-            }));
+    GPUDB_ASSIGN_OR_RETURN(std::vector<uint8_t> part, Ladder(i, op));
     bitmap.insert(bitmap.end(), part.begin(), part.end());
   }
   return bitmap;
@@ -204,18 +187,12 @@ Result<std::vector<uint8_t>> PoolExecutor::SelectBitmap(
 
 Result<std::vector<uint32_t>> PoolExecutor::SelectRowIds(
     const predicate::ExprPtr& where) {
-  last_stats_ = PoolQueryStats();
+  last_stats_ = LadderOutcome();
+  const LadderOp<std::vector<uint32_t>> op = Executor::SelectRowIdsOp(where);
   std::vector<uint32_t> rows;
   for (size_t i = 0; i < sharded_->num_shards(); ++i) {
     const uint32_t row_begin = sharded_->shard(i).row_begin;
-    GPUDB_ASSIGN_OR_RETURN(
-        std::vector<uint32_t> part,
-        RunShard<std::vector<uint32_t>>(
-            i, "SelectRowIds",
-            [&](Executor& exec) { return exec.SelectRowIds(where); },
-            [&](const db::Table& table) {
-              return cpu_tier::RowIds(table, where);
-            }));
+    GPUDB_ASSIGN_OR_RETURN(std::vector<uint32_t> part, Ladder(i, op));
     // Shards are contiguous ranges in order, so offsetting and appending
     // keeps the global id list sorted -- identical to one-device output.
     for (uint32_t local : part) rows.push_back(row_begin + local);
@@ -225,24 +202,7 @@ Result<std::vector<uint32_t>> PoolExecutor::SelectRowIds(
 
 Result<uint64_t> PoolExecutor::RangeCount(std::string_view column, double low,
                                           double high) {
-  last_stats_ = PoolQueryStats();
-  uint64_t total = 0;
-  for (size_t i = 0; i < sharded_->num_shards(); ++i) {
-    // Cancellation coverage (lint rule R2): a skipped pass must stop the
-    // scatter loop, not leave it spinning through the remaining shards.
-    GPUDB_RETURN_NOT_OK(
-        pool_->device(sharded_->shard(i).placement.primary).CheckInterrupt());
-    GPUDB_ASSIGN_OR_RETURN(
-        uint64_t count,
-        RunShard<uint64_t>(
-            i, "RangeCount",
-            [&](Executor& exec) { return exec.RangeCount(column, low, high); },
-            [&](const db::Table& table) {
-              return cpu_tier::RangeCount(table, column, low, high);
-            }));
-    total += count;
-  }
-  return total;
+  return SumShards(Executor::RangeCountOp(column, low, high));
 }
 
 Result<double> PoolExecutor::Aggregate(AggregateKind kind,
@@ -261,40 +221,28 @@ Result<double> PoolExecutor::Aggregate(AggregateKind kind,
                            sharded_->shard(0).table.ColumnIndex(column));
     (void)col;
   }
-  last_stats_ = PoolQueryStats();
+  last_stats_ = LadderOutcome();
+  auto shard_count = [&](size_t i) {
+    return Ladder(i, Executor::CountOp(where));
+  };
   auto shard_aggregate = [&](size_t i, AggregateKind agg) {
-    return RunShard<double>(
-        i, "Aggregate",
-        [&](Executor& exec) { return exec.Aggregate(agg, column, where); },
-        [&](const db::Table& table) {
-          return cpu_tier::Aggregate(table, agg, column, where);
-        });
+    return Ladder(i, Executor::AggregateOp(agg, column, where));
   };
   switch (kind) {
     case AggregateKind::kCount: {
-      uint64_t total = 0;
-      for (size_t i = 0; i < sharded_->num_shards(); ++i) {
-        GPUDB_ASSIGN_OR_RETURN(uint64_t count, ShardCount(i, where));
-        total += count;
-      }
+      GPUDB_ASSIGN_OR_RETURN(uint64_t total, Count(where));
       return static_cast<double>(total);
     }
-    case AggregateKind::kSum: {
+    case AggregateKind::kSum:
       // Per-shard GPU sums are exact integer accumulations (<= 2^24 values
       // of <= 24 bits each fits a double exactly), so the total is too.
-      double total = 0.0;
-      for (size_t i = 0; i < sharded_->num_shards(); ++i) {
-        GPUDB_ASSIGN_OR_RETURN(double sum, shard_aggregate(i, kind));
-        total += sum;
-      }
-      return total;
-    }
+      return SumShards(Executor::AggregateOp(kind, column, where));
     case AggregateKind::kMin:
     case AggregateKind::kMax: {
       bool any = false;
       double best = 0.0;
       for (size_t i = 0; i < sharded_->num_shards(); ++i) {
-        GPUDB_ASSIGN_OR_RETURN(uint64_t count, ShardCount(i, where));
+        GPUDB_ASSIGN_OR_RETURN(uint64_t count, shard_count(i));
         if (count == 0) continue;  // empty shards contribute nothing
         GPUDB_ASSIGN_OR_RETURN(double value, shard_aggregate(i, kind));
         if (!any || (kind == AggregateKind::kMin ? value < best
@@ -313,7 +261,7 @@ Result<double> PoolExecutor::Aggregate(AggregateKind kind,
       uint64_t total_count = 0;
       double total_sum = 0.0;
       for (size_t i = 0; i < sharded_->num_shards(); ++i) {
-        GPUDB_ASSIGN_OR_RETURN(uint64_t count, ShardCount(i, where));
+        GPUDB_ASSIGN_OR_RETURN(uint64_t count, shard_count(i));
         if (count == 0) continue;
         GPUDB_ASSIGN_OR_RETURN(double sum,
                                shard_aggregate(i, AggregateKind::kSum));

@@ -2,7 +2,6 @@
 #define GPUDB_CORE_POOL_EXECUTOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string_view>
@@ -19,18 +18,6 @@
 
 namespace gpudb {
 namespace core {
-
-/// \brief Per-query outcome of the scatter/gather path, for query-log
-/// attribution (which failure domain served / failed) and tests.
-struct PoolQueryStats {
-  uint64_t failovers = 0;        ///< Shard hops off their primary device.
-  int first_device = -1;         ///< Primary device of the first shard run.
-  int first_failed_device = -1;  ///< First device a shard hopped off, or -1.
-  bool cpu_fallback = false;     ///< Some shard was answered by the CPU tier.
-  /// Device work of every shard attempt, summed over the pool devices (each
-  /// attempt's counter delta, taken under its lease).
-  gpu::DeviceCounters work;
-};
 
 /// \brief Scatter/gather executor over a ShardedTable on a DevicePool
 /// (DESIGN.md §15).
@@ -53,10 +40,12 @@ struct PoolQueryStats {
 /// rule and return kNotImplemented here; callers route them to a plain
 /// Executor.
 ///
-/// Failure domains: a shard whose device is refused by the pool
-/// (quarantined / force-lost) or faults through its retries fails over to
-/// its replica device, then to the CPU tier -- each hop counted in
-/// `pool.failovers`. User errors propagate immediately without failover.
+/// Failure domains: each shard walks the degradation ladder
+/// (core/resilience.h) over its [primary, replica] placements, then the
+/// CPU tier. A device the pool refuses (quarantined / force-lost) or one
+/// that faults through its retries is left for the next rung -- each hop
+/// counted in `pool.failovers`. User errors propagate immediately without
+/// failover.
 ///
 /// Thread model: one PoolExecutor serves one session (its executor cache is
 /// not locked); devices are shared across sessions and every dispatch holds
@@ -65,9 +54,11 @@ struct PoolQueryStats {
 class PoolExecutor {
  public:
   /// Both pointers must outlive the executor. Every shard must fit the
-  /// pool's device framebuffers.
+  /// pool's device framebuffers. `resilience` is the ladder policy every
+  /// shard runs under.
   [[nodiscard]] static Result<std::unique_ptr<PoolExecutor>> Make(
-      gpu::DevicePool* pool, const db::ShardedTable* sharded);
+      gpu::DevicePool* pool, const db::ShardedTable* sharded,
+      const ResilienceOptions& resilience = ResilienceOptions());
 
   [[nodiscard]] Result<uint64_t> Count(const predicate::ExprPtr& where);
   [[nodiscard]] Result<std::vector<uint8_t>> SelectBitmap(
@@ -86,43 +77,36 @@ class PoolExecutor {
   /// single-device.
   static bool ShardableAggregate(AggregateKind kind);
 
-  /// Resilience applied inside each per-shard attempt (retry/deadline); the
-  /// CPU rung of the ladder is governed by the failover policy, not the
-  /// per-executor flag, so `allow_cpu_fallback` is forced off on shard
-  /// executors -- the pool owns the ladder.
-  void set_resilience_options(const ResilienceOptions& options);
-  void set_failover_policy(const FailoverPolicy& policy) {
-    failover_ = policy;
-  }
-
-  const PoolQueryStats& last_stats() const { return last_stats_; }
+  /// What the ladder did for the last query, over all of its shards.
+  const LadderOutcome& last_stats() const { return last_stats_; }
   const db::ShardedTable& sharded() const { return *sharded_; }
   gpu::DevicePool& pool() { return *pool_; }
 
  private:
-  PoolExecutor(gpu::DevicePool* pool, const db::ShardedTable* sharded)
-      : pool_(pool), sharded_(sharded) {}
+  PoolExecutor(gpu::DevicePool* pool, const db::ShardedTable* sharded,
+               const ResilienceOptions& resilience)
+      : pool_(pool), sharded_(sharded), resilience_(resilience) {}
 
   /// The cached executor for (shard, device); created on first use. Must be
   /// called with the device's lease held.
   [[nodiscard]] Result<Executor*> ShardExecutorFor(size_t shard_index, int device_id);
 
-  /// Runs one shard through the failover ladder: primary -> replica -> CPU.
-  template <typename T>
-  [[nodiscard]] Result<T> RunShard(
-      size_t shard_index, const char* op_name,
-      const std::function<Result<T>(Executor&)>& gpu_op,
-      const std::function<Result<T>(const db::Table&)>& cpu_op);
+  /// One shard device as a ladder placement: the pool's health gate, the
+  /// device lease, the `pool.shard` span, and the failover bookkeeping.
+  class ShardPlacement;
 
-  /// Per-shard COUNT(*) for the aggregates that must skip empty shards.
-  [[nodiscard]] Result<uint64_t> ShardCount(size_t shard_index,
-                                            const predicate::ExprPtr& where);
+  /// Runs `op` on one shard's ladder: primary -> replica -> CPU tier.
+  template <typename T>
+  [[nodiscard]] Result<T> Ladder(size_t shard_index, const LadderOp<T>& op);
+
+  /// Runs `op` on every shard and sums the answers (counts, exact sums).
+  template <typename T>
+  [[nodiscard]] Result<T> SumShards(const LadderOp<T>& op);
 
   gpu::DevicePool* pool_;
   const db::ShardedTable* sharded_;
-  ResilienceOptions resilience_;
-  FailoverPolicy failover_;
-  PoolQueryStats last_stats_;
+  const ResilienceOptions resilience_;
+  LadderOutcome last_stats_;
   std::map<std::pair<size_t, int>, std::unique_ptr<Executor>> executors_;
 };
 

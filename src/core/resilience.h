@@ -1,10 +1,19 @@
 #ifndef GPUDB_CORE_RESILIENCE_H_
 #define GPUDB_CORE_RESILIENCE_H_
 
+#include <cstdint>
+#include <functional>
+#include <vector>
+
+#include "src/common/result.h"
 #include "src/common/status.h"
+#include "src/db/table.h"
+#include "src/gpu/counters.h"
 
 namespace gpudb {
 namespace core {
+
+class Executor;
 
 /// \brief Bounded-retry policy for transient device faults.
 ///
@@ -36,45 +45,10 @@ bool IsTransientFault(const Status& status);
 /// and user errors (InvalidArgument & co.) are neither.
 bool IsDeviceFault(const Status& status);
 
-/// \brief Consecutive-failure circuit breaker guarding the GPU path.
-///
-/// After `threshold` consecutive device faults the breaker opens and the
-/// Executor routes eligible queries straight to the CPU baseline without
-/// touching the device. While open, every `probe_interval`-th eligible
-/// call is let through as a probe (counted in calls, not wall time, so
-/// behaviour stays deterministic under test); one success closes the
-/// breaker again.
-class CircuitBreaker {
- public:
-  explicit CircuitBreaker(int threshold = 3, int probe_interval = 8)
-      : threshold_(threshold), probe_interval_(probe_interval) {}
-
-  void RecordFailure();
-  void RecordSuccess();
-
-  bool open() const { return consecutive_failures_ >= threshold_; }
-  int consecutive_failures() const { return consecutive_failures_; }
-  int threshold() const { return threshold_; }
-
-  /// While open: true when this call should probe the GPU path anyway.
-  /// Advances the skipped-call counter.
-  bool AllowProbe();
-
-  void set_threshold(int threshold) { threshold_ = threshold; }
-  void Reset();
-
- private:
-  int threshold_;
-  int probe_interval_;
-  int consecutive_failures_ = 0;
-  int skipped_calls_ = 0;
-};
-
 /// \brief Per-executor resilience configuration (DESIGN.md section 11).
 struct ResilienceOptions {
   bool enabled = true;
   RetryPolicy retry;
-  int breaker_threshold = 3;
   /// Degrade device faults to the cpu/ baseline where an equivalent
   /// implementation exists (count/select/aggregate/kth/range).
   bool allow_cpu_fallback = true;
@@ -83,22 +57,91 @@ struct ResilienceOptions {
   double deadline_ms = 0.0;
 };
 
-/// \brief Shard failover policy for the scatter/gather path (DESIGN.md §15).
-///
-/// A shard's dispatch ladder is primary device -> replica device -> CPU
-/// tier. A hop happens when the device pool refuses the device (quarantined
-/// or force-lost) or the per-device attempt exhausts its in-place retries
-/// with a device fault (IsDeviceFault). User errors never fail over: the
-/// replica holds an identical copy and would return the identical error, so
-/// hopping could only waste the query's deadline.
-struct FailoverPolicy {
-  bool try_replica = true;        ///< Hop to the shard's replica device.
-  bool allow_cpu_fallback = true; ///< Final rung: per-shard CPU tier.
+/// \brief What the ladder did for one query, over all its operators and
+/// shards: the query log's resilience and failure-domain columns.
+struct LadderOutcome {
+  uint64_t retries = 0;          ///< In-place retry attempts.
+  bool cpu_fallback = false;     ///< Some answer came from the CPU rung.
+  uint64_t failovers = 0;        ///< Shard hops off a pool device.
+  int first_device = -1;         ///< Primary device of the first shard run.
+  int first_failed_device = -1;  ///< First device a shard hopped off, or -1.
+  /// Device work of every pool shard attempt, summed over the pool devices
+  /// (each attempt's counter delta, taken under its lease).
+  gpu::DeviceCounters work;
 };
 
-/// Sleeps for `ms` when `real` is set; no-op otherwise (deterministic
-/// test schedules).
-void BackoffSleep(double ms, bool real);
+/// \brief One operator as the ladder runs it: its name (metric suffix and
+/// trace tag), its GPU body on an executor, and its CPU-tier body over the
+/// executor's table (null for retry-only operators).
+template <typename T>
+struct LadderOp {
+  const char* name = nullptr;
+  std::function<Result<T>(Executor&)> gpu;
+  std::function<Result<T>(const db::Table&)> cpu;
+};
+
+/// \brief A device the ladder may try: a standalone executor's own device,
+/// or a pool shard's primary or replica.
+class Placement {
+ public:
+  virtual ~Placement() = default;
+
+  /// One attempt at `op_name`: asks the health gate when `consult_gate` (a
+  /// later rung could answer instead; a force-lost pool device refuses
+  /// regardless), takes the device, calls `run` on its executor, and
+  /// records the outcome on the gate. A refusal is a kDeviceLost status.
+  [[nodiscard]] virtual Status Attempt(
+      const char* op_name, bool consult_gate,
+      const std::function<Status(Executor&)>& run) = 0;
+};
+
+/// \brief The degradation ladder (DESIGN.md §11): walks `placements` in
+/// order, then the CPU rung.
+///
+/// Each attempt arms the deadline and runs `gpu` with bounded in-place
+/// retries of transient faults (ResetQueryState + CheckInterrupt between
+/// them). Success returns; deadline, cancellation and user errors return
+/// untouched; a device fault moves on to the next rung. `cpu` (null for a
+/// retry-only operator) answers when the placements are exhausted and
+/// options.allow_cpu_fallback is set. Retries and the CPU rung are added
+/// to `outcome`.
+[[nodiscard]] Status RunLadder(const ResilienceOptions& options,
+                               const char* op_name,
+                               const std::vector<Placement*>& placements,
+                               const std::function<Status(Executor&)>& gpu,
+                               const std::function<Status()>& cpu,
+                               LadderOutcome* outcome);
+
+/// RunLadder for one operator; its CPU body runs over `table`.
+template <typename T>
+[[nodiscard]] Result<T> RunLadder(const ResilienceOptions& options,
+                                  const std::vector<Placement*>& placements,
+                                  const LadderOp<T>& op,
+                                  const db::Table& table,
+                                  LadderOutcome* outcome) {
+  T value{};
+  std::function<Status()> cpu;
+  if (op.cpu != nullptr) {
+    cpu = [&]() -> Status {
+      GPUDB_ASSIGN_OR_RETURN(value, op.cpu(table));
+      return Status::OK();
+    };
+  }
+  GPUDB_RETURN_NOT_OK(RunLadder(
+      options, op.name, placements,
+      [&](Executor& exec) -> Status {
+        GPUDB_ASSIGN_OR_RETURN(value, op.gpu(exec));
+        return Status::OK();
+      },
+      cpu, outcome));
+  return value;
+}
+
+/// Stamps a resilience event into the active trace (zero-duration span
+/// nested under the operator that hit it), so EXPLAIN ANALYZE and the
+/// Chrome trace show *where* a query degraded, not just that it did.
+void TraceResilienceEvent(const char* event, const char* op_name,
+                          int attempt = -1);
 
 }  // namespace core
 }  // namespace gpudb

@@ -37,14 +37,20 @@ std::string_view ToString(DeviceHealth health) {
   return "unknown";
 }
 
+void HealthGate::RecordFailure() {
+  if (++consecutive_failures_ == kQuarantineThreshold) {
+    // Cached like PoolMetrics: the pool records under mu_, and telemetry is
+    // a leaf of the lock order.
+    static MetricCounter& opened =
+        MetricsRegistry::Global().counter("resilience.breaker_opened");
+    opened.Increment();
+  }
+}
+
 Result<std::unique_ptr<DevicePool>> DevicePool::Make(
     const DevicePoolOptions& options) {
   if (options.devices < 1) {
     return Status::InvalidArgument("DevicePool needs at least one device");
-  }
-  if (options.quarantine_threshold < 1 || options.probe_interval < 1) {
-    return Status::InvalidArgument(
-        "DevicePool quarantine_threshold and probe_interval must be >= 1");
   }
   auto pool = std::unique_ptr<DevicePool>(new DevicePool(options));
   pool->slots_.resize(static_cast<size_t>(options.devices));
@@ -89,12 +95,7 @@ Result<DevicePool::Lease> DevicePool::TryAcquire(int id) {
 }
 
 DeviceHealth DevicePool::HealthLocked(const Slot& slot) const {
-  if (slot.forced_lost ||
-      slot.consecutive_failures >= options_.quarantine_threshold) {
-    return DeviceHealth::kQuarantined;
-  }
-  if (slot.consecutive_failures > 0) return DeviceHealth::kDegraded;
-  return DeviceHealth::kHealthy;
+  return slot.forced_lost ? DeviceHealth::kQuarantined : slot.gate.health();
 }
 
 void DevicePool::UpdateStateGaugeLocked() {
@@ -109,14 +110,7 @@ bool DevicePool::AdmitDispatch(int id) {
   MutexLock lock(&mu_);
   Slot& slot = slots_[static_cast<size_t>(id)];
   if (slot.forced_lost) return false;  // hot-unplugged: not even probes
-  if (HealthLocked(slot) != DeviceHealth::kQuarantined) return true;
-  // Quarantined: admit every probe_interval-th ask as a recovery probe.
-  ++slot.asks_while_quarantined;
-  if (slot.asks_while_quarantined >= options_.probe_interval) {
-    slot.asks_while_quarantined = 0;
-    return true;
-  }
-  return false;
+  return slot.gate.Admit();
 }
 
 DeviceHealth DevicePool::health(int id) const {
@@ -126,16 +120,13 @@ DeviceHealth DevicePool::health(int id) const {
 
 void DevicePool::RecordFailure(int id) {
   MutexLock lock(&mu_);
-  Slot& slot = slots_[static_cast<size_t>(id)];
-  ++slot.consecutive_failures;
+  slots_[static_cast<size_t>(id)].gate.RecordFailure();
   UpdateStateGaugeLocked();
 }
 
 void DevicePool::RecordSuccess(int id) {
   MutexLock lock(&mu_);
-  Slot& slot = slots_[static_cast<size_t>(id)];
-  slot.consecutive_failures = 0;
-  slot.asks_while_quarantined = 0;
+  slots_[static_cast<size_t>(id)].gate.RecordSuccess();
   UpdateStateGaugeLocked();
 }
 
@@ -156,8 +147,7 @@ void DevicePool::Revive(int id) {
   MutexLock lock(&mu_);
   Slot& slot = slots_[static_cast<size_t>(id)];
   slot.forced_lost = false;
-  slot.consecutive_failures = 0;
-  slot.asks_while_quarantined = 0;
+  slot.gate = HealthGate();
   UpdateStateGaugeLocked();
 }
 

@@ -16,7 +16,7 @@
 namespace gpudb {
 namespace gpu {
 
-/// \brief Health of one device in a DevicePool (DESIGN.md §15).
+/// \brief Health of one device (DESIGN.md §11).
 ///
 ///   healthy ──failure──▶ degraded ──threshold──▶ quarantined
 ///      ▲                    │ success                │ probe success
@@ -24,12 +24,46 @@ namespace gpu {
 ///
 /// `degraded` means 1..threshold-1 consecutive device faults: the device
 /// still serves dispatches, but it is one bad streak away from quarantine.
-/// `quarantined` devices are skipped by AdmitDispatch except for every
-/// `probe_interval`-th ask (counted in calls, not wall time, so recovery is
-/// deterministic under test); one probe success returns them to healthy.
+/// `quarantined` devices are refused except for every kProbeInterval-th ask
+/// (counted in calls, not wall time, so recovery is deterministic under
+/// test); one probe success returns them to healthy.
 enum class DeviceHealth { kHealthy, kDegraded, kQuarantined };
 
 std::string_view ToString(DeviceHealth health);
+
+/// \brief The health state machine above, in front of one device: a
+/// standalone executor's circuit breaker and a pool slot's quarantine are
+/// this one gate. Not synchronized; DevicePool guards its gates with mu_.
+class HealthGate {
+ public:
+  static constexpr int kQuarantineThreshold = 3;
+  static constexpr int kProbeInterval = 8;
+
+  /// True when the device should be tried: always unless quarantined, then
+  /// on every kProbeInterval-th ask (the recovery probe).
+  bool Admit() {
+    if (!open()) return true;
+    if (++asks_while_open_ < kProbeInterval) return false;
+    asks_while_open_ = 0;
+    return true;
+  }
+  /// One device fault; the one that quarantines counts
+  /// `resilience.breaker_opened`.
+  void RecordFailure();
+  void RecordSuccess() { *this = HealthGate(); }
+
+  bool open() const { return consecutive_failures_ >= kQuarantineThreshold; }
+  int consecutive_failures() const { return consecutive_failures_; }
+  DeviceHealth health() const {
+    if (open()) return DeviceHealth::kQuarantined;
+    return consecutive_failures_ > 0 ? DeviceHealth::kDegraded
+                                     : DeviceHealth::kHealthy;
+  }
+
+ private:
+  int consecutive_failures_ = 0;
+  int asks_while_open_ = 0;
+};
 
 /// \brief Construction parameters for a DevicePool.
 struct DevicePoolOptions {
@@ -42,8 +76,6 @@ struct DevicePoolOptions {
   /// failure domain draws from its own deterministic stream (seed ^
   /// SplitMix64(i)) regardless of dispatch interleaving.
   FaultConfig faults;
-  int quarantine_threshold = 3;  ///< Consecutive faults before quarantine.
-  int probe_interval = 8;        ///< Every n-th ask probes a quarantined dev.
 };
 
 /// \brief A pool of N simulated Devices, each its own failure domain.
@@ -54,10 +86,11 @@ struct DevicePoolOptions {
 ///    model), so callers take an exclusive Lease per dispatch. Queries on
 ///    different devices run concurrently; dispatches to the same device
 ///    serialize. The health state below is *not* covered by the lease.
-///  * a **health state machine** (DeviceHealth above) fed by
-///    RecordFailure/RecordSuccess from the scatter/gather executor. A
-///    quarantined or force-lost device is refused by AdmitDispatch, which is
-///    what triggers shard failover to the replica device (core/pool_executor).
+///  * a **health gate** (gpu::HealthGate, the same machine that guards a
+///    standalone executor) fed by RecordFailure/RecordSuccess from the
+///    degradation ladder (core/resilience). A quarantined or force-lost
+///    device is refused by AdmitDispatch, which is what moves a shard to
+///    its replica device (core/pool_executor).
 ///
 /// ForceDeviceLost models pulling a card mid-flight: the device refuses all
 /// dispatches (probes included) until Revive. Metrics: the
@@ -109,8 +142,8 @@ class DevicePool {
 
   /// Health gate consulted before dispatching to `id`: true when the device
   /// should be tried. Healthy/degraded devices always pass; quarantined
-  /// devices pass only on every `probe_interval`-th ask (the recovery
-  /// probe); force-lost devices never pass.
+  /// devices pass only on every HealthGate::kProbeInterval-th ask (the
+  /// recovery probe); force-lost devices never pass.
   bool AdmitDispatch(int id);
 
   DeviceHealth health(int id) const;
@@ -142,8 +175,7 @@ class DevicePool {
     std::unique_ptr<Device> device;
     std::unique_ptr<std::mutex> exec_mu;  ///< The Lease lock.
     // Health fields below are guarded by DevicePool::mu_.
-    int consecutive_failures = 0;
-    int asks_while_quarantined = 0;
+    HealthGate gate;
     bool forced_lost = false;
   };
 

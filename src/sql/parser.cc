@@ -29,8 +29,9 @@ using predicate::ExprPtr;
 ///              |  number cmp column
 ///              |  column BETWEEN number AND number
 ///
-/// NOT and parentheses nest at most kMaxExprNesting levels deep; a number
-/// may carry a leading '-'.
+/// NOT and parentheses nest at most kMaxExprNesting levels deep, a WHERE
+/// clause holds at most kMaxWhereComparisons comparisons, and a number may
+/// carry a leading '-'.
 class Parser {
  public:
   Parser(std::vector<Token> tokens, const db::Table& table)
@@ -318,6 +319,10 @@ class Parser {
   }
 
   Result<ExprPtr> ParseComparison() {
+    if (++comparisons_ > kMaxWhereComparisons) {
+      return Error("WHERE clause holds more than " +
+                   std::to_string(kMaxWhereComparisons) + " comparisons");
+    }
     if (Peek().kind == TokenKind::kNumber) {
       // number op column  ->  column Mirror(op) number
       const double value = Next().number;
@@ -366,7 +371,8 @@ class Parser {
   std::vector<Token> tokens_;
   const db::Table& table_;
   size_t pos_ = 0;
-  int depth_ = 0;  ///< current NOT/parenthesis nesting
+  int depth_ = 0;        ///< current NOT/parenthesis nesting
+  int comparisons_ = 0;  ///< comparisons parsed so far
 };
 
 }  // namespace

@@ -75,6 +75,13 @@ std::string_view ToString(Query::Kind kind);
 /// bounds their stack; deeper input is an InvalidArgument, not a crash.
 inline constexpr int kMaxExprNesting = 256;
 
+/// Most comparisons one WHERE clause may hold. AND and OR chains build a
+/// left-deep tree as deep as the chain, which the normal-form conversions
+/// and the tree's teardown walk recursively; the cap keeps that recursion
+/// well inside the stack (sanitizer builds included). More comparisons are
+/// an InvalidArgument, not a crash.
+inline constexpr int kMaxWhereComparisons = 1024;
+
 /// \brief Parses `input` against `table` (column names resolve to indices;
 /// unknown columns are errors with positions).
 [[nodiscard]] Result<Query> ParseQuery(std::string_view input, const db::Table& table);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/common/metrics.h"
 #include "src/common/query_log.h"
 #include "src/common/timer.h"
 #include "src/core/analyze.h"
@@ -59,9 +58,9 @@ void Session::set_resilience_options(const core::ResilienceOptions& options) {
   for (auto& [name, exec] : executors_) {
     exec->set_resilience_options(options);
   }
-  for (auto& [name, entry] : pool_executors_) {
-    if (entry.exec != nullptr) entry.exec->set_resilience_options(options);
-  }
+  // A pool executor takes its ladder policy at creation; the next pooled
+  // statement re-creates it under the new one.
+  pool_executors_.clear();
 }
 
 void Session::SetDevicePool(gpu::DevicePool* pool, int num_shards) {
@@ -98,8 +97,8 @@ Result<core::PoolExecutor*> Session::PoolExecutorForLocked(
       entry.sharded = std::make_unique<db::ShardedTable>(
           std::move(sharded).ValueOrDie());
       GPUDB_ASSIGN_OR_RETURN(
-          entry.exec, core::PoolExecutor::Make(pool_, entry.sharded.get()));
-      entry.exec->set_resilience_options(resilience_);
+          entry.exec,
+          core::PoolExecutor::Make(pool_, entry.sharded.get(), resilience_));
     }
     // A refused table is cached as {nullptr}: the sharder's verdict cannot
     // change while the schema is fixed, so do not re-shard every statement.
@@ -180,6 +179,7 @@ Result<QueryResult> Session::RunSystemTable(std::string_view sql,
   }
   result.table_view = snap;
   *counters_out = device.counters();
+  outcome_ = exec->outcome();
   return result;
 }
 
@@ -231,7 +231,7 @@ Result<QueryResult> Session::RunPooled(core::PoolExecutor& exec,
   };
   const Status status = run();
   pooled_statement_ = true;
-  pool_stats_ = exec.last_stats();
+  outcome_ = exec.last_stats();
   GPUDB_RETURN_NOT_OK(status);
   return result;
 }
@@ -243,12 +243,16 @@ Result<QueryResult> Session::RunUserTable(std::string_view sql,
   // Stats may have been (re)collected since the executor was cached.
   exec->set_table_stats(catalog_->Stats(table_name));
   const gpu::CounterMark before = gpu::CounterMark::Of(device_->counters());
+  exec->ResetOutcome();
   Result<QueryResult> result = RunUserStatement(sql, table_name, exec);
   // A pooled statement ran on the pool devices; their summed shard deltas
   // are its work.
-  *counters_out = pooled_statement_
-                      ? std::move(pool_stats_.work)
-                      : gpu::DeltaSince(before, device_->counters());
+  if (pooled_statement_) {
+    *counters_out = std::move(outcome_.work);
+  } else {
+    *counters_out = gpu::DeltaSince(before, device_->counters());
+    outcome_ = exec->outcome();
+  }
   return result;
 }
 
@@ -340,22 +344,13 @@ Result<QueryResult> Session::Execute(std::string_view sql) {
   // extend the device critical section).
   double queue_ms = 0.0;
   double wall_ms = 0.0;
-  bool pooled = false;
-  core::PoolQueryStats pool_stats;
+  core::LadderOutcome outcome;
   gpu::DeviceCounters delta;
-  // Resilience outcome for the query log: the delta of the process-wide
-  // retry/fallback counters across this statement (sessions execute
-  // statements one at a time, so the delta is this statement's).
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  uint64_t retries_before = 0;
-  uint64_t fellback_before = 0;
   Result<QueryResult> result = [&]() -> Result<QueryResult> {
     MutexLock lock(&execute_mu_);
     queue_ms = timer.ElapsedMs();
     pooled_statement_ = false;
-    pool_stats_ = core::PoolQueryStats();
-    retries_before = registry.counter("queries.retry_attempts").value();
-    fellback_before = registry.counter("queries.fell_back").value();
+    outcome_ = core::LadderOutcome();
     // No inner dispatch lambda: a lambda body is analyzed without the
     // enclosing capability, so the REQUIRES(execute_mu_) call to Dispatch
     // must sit lexically inside this MutexLock scope.
@@ -365,8 +360,7 @@ Result<QueryResult> Session::Execute(std::string_view sql) {
             ? Dispatch(sql, table_name.ValueOrDie(), &delta)
             : Result<QueryResult>(table_name.status());
     wall_ms = timer.ElapsedMs();
-    pooled = pooled_statement_;
-    pool_stats = pool_stats_;
+    outcome = std::move(outcome_);
     return r;
   }();
 
@@ -377,20 +371,15 @@ Result<QueryResult> Session::Execute(std::string_view sql) {
   entry.queue_ms = queue_ms;
   entry.exec_ms = wall_ms - queue_ms;
   entry.tenant = tenant;
-  if (pooled) {
-    // Attribute the statement to the device that mattered: the first one
-    // that failed it when there were failovers, else the one that served
-    // its first shard.
-    entry.device_id = pool_stats.failovers > 0 &&
-                              pool_stats.first_failed_device >= 0
-                          ? pool_stats.first_failed_device
-                          : pool_stats.first_device;
-    entry.failovers = pool_stats.failovers;
-  }
-  entry.retries =
-      registry.counter("queries.retry_attempts").value() - retries_before;
-  entry.fell_back =
-      registry.counter("queries.fell_back").value() > fellback_before;
+  // Attribute the statement to the pool device that mattered: the first one
+  // that failed it when there were failovers, else the one that served its
+  // first shard (-1 for a statement the session device served).
+  entry.device_id = outcome.failovers > 0 && outcome.first_failed_device >= 0
+                        ? outcome.first_failed_device
+                        : outcome.first_device;
+  entry.failovers = outcome.failovers;
+  entry.retries = outcome.retries;
+  entry.fell_back = outcome.cpu_fallback;
   entry.passes = delta.passes;
   entry.fragments = delta.fragments_generated;
   entry.fused_passes = delta.fused_passes;

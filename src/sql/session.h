@@ -160,7 +160,7 @@ class Session {
   static bool IsPoolable(const Query& query);
 
   /// Runs an already-parsed poolable statement through the shard pool and
-  /// records its PoolQueryStats for query-log attribution.
+  /// records its ladder outcome for query-log attribution.
   [[nodiscard]] Result<QueryResult> RunPooled(core::PoolExecutor& exec,
                                               const Query& query)
       REQUIRES(execute_mu_);
@@ -190,9 +190,9 @@ class Session {
   std::map<std::string, PoolEntry, std::less<>> pool_executors_
       GUARDED_BY(execute_mu_);
   /// Attribution of the statement currently executing: whether it ran
-  /// pooled, and the stats it produced.
+  /// pooled, and what the degradation ladder did for it.
   bool pooled_statement_ GUARDED_BY(execute_mu_) = false;
-  core::PoolQueryStats pool_stats_ GUARDED_BY(execute_mu_);
+  core::LadderOutcome outcome_ GUARDED_BY(execute_mu_);
 
   AdmissionController* admission_ GUARDED_BY(execute_mu_) = nullptr;
   std::string tenant_ GUARDED_BY(execute_mu_);

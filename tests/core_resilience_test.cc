@@ -3,17 +3,25 @@
 // answered through any degradation path returns exactly the answer the
 // healthy GPU path would have produced.
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/metrics.h"
+#include "src/common/query_log.h"
 #include "src/core/executor.h"
 #include "src/core/resilience.h"
+#include "src/db/catalog.h"
 #include "src/db/datagen.h"
 #include "src/gpu/device.h"
+#include "src/gpu/device_pool.h"
 #include "src/gpu/fault_injector.h"
+#include "src/sql/session.h"
 #include "tests/test_util.h"
 
 namespace gpudb {
@@ -50,19 +58,20 @@ TEST(FaultClassification, TransientAndDeviceFaultSets) {
   EXPECT_FALSE(IsDeviceFault(Status::Cancelled("x")));
 }
 
-TEST(CircuitBreaker, OpensAfterThresholdAndProbesPeriodically) {
-  CircuitBreaker breaker(/*threshold=*/3, /*probe_interval=*/4);
+TEST(HealthGate, OpensAfterThresholdAndProbesPeriodically) {
+  gpu::HealthGate breaker;
   EXPECT_FALSE(breaker.open());
+  EXPECT_TRUE(breaker.Admit());
   breaker.RecordFailure();
   breaker.RecordFailure();
   EXPECT_FALSE(breaker.open());
   breaker.RecordFailure();
   EXPECT_TRUE(breaker.open());
 
-  // Every probe_interval-th skipped call probes the device path.
+  // Every kProbeInterval-th ask probes the device path.
   int probes = 0;
-  for (int i = 0; i < 8; ++i) {
-    if (breaker.AllowProbe()) ++probes;
+  for (int i = 0; i < 2 * gpu::HealthGate::kProbeInterval; ++i) {
+    if (breaker.Admit()) ++probes;
   }
   EXPECT_EQ(probes, 2);
 
@@ -275,6 +284,23 @@ TEST_F(ResilienceTest, OpenBreakerSkipsDeviceAndProbesRecovery) {
   EXPECT_TRUE(closed);
 }
 
+TEST_F(ResilienceTest, OpenBreakerStillRunsRetryOnlyOpsOnTheDevice) {
+  const ExprPtr where = Expr::Pred(0, CompareOp::kGreater, 5000.0f);
+  device_.ConfigureFaults({/*seed=*/5, /*rate=*/1.0, /*device_id=*/0});
+  for (int i = 0; i < 3; ++i) ASSERT_OK(executor_->Count(where).status());
+  ASSERT_TRUE(executor_->breaker().open());
+
+  // A retry-only operator has no CPU rung to degrade to, so the open
+  // breaker must not turn it away: it reaches the (healed) device.
+  device_.ConfigureFaults({/*seed=*/5, /*rate=*/0.0, /*device_id=*/0});
+  ASSERT_OK_AND_ASSIGN(const auto want, reference_->TopK("data_count", 10));
+  const uint64_t passes_before = device_.counters().passes;
+  ASSERT_OK_AND_ASSIGN(const auto got, executor_->TopK("data_count", 10));
+  EXPECT_EQ(got, want);
+  EXPECT_GT(device_.counters().passes, passes_before);
+  EXPECT_FALSE(executor_->breaker().open());  // the success closed it
+}
+
 TEST_F(ResilienceTest, VramBudgetExhaustionDegradesToCpu) {
   // A budget too small for any column texture: BindingFor's upload fails
   // with ResourceExhausted, which is a device fault -> CPU fallback.
@@ -314,6 +340,55 @@ TEST(FaultDomains, PerDeviceSeedsDivergeAndReproduce) {
   std::vector<bool> fired;
   for (int i = 0; i < 256; ++i) fired.push_back(!legacy.OnPass().ok());
   EXPECT_EQ(fired, dev0);
+}
+
+// The query log's retry and fallback columns describe the statement's own
+// ladder walk. Two sessions share one catalog: one on a device that faults
+// on every pass, one on a healthy device. While the faulty session keeps
+// retrying and falling back, no statement of the healthy one may log a
+// retry or a fallback.
+TEST(ResilienceLog, LadderOutcomeIsAttributedPerSession) {
+  ASSERT_OK_AND_ASSIGN(db::Table table, db::MakeTcpIpTable(20000, /*seed=*/77));
+  db::Catalog catalog;
+  ASSERT_OK(catalog.Register("flows", &table));
+  gpu::Device faulty_device(200, 100);
+  gpu::Device healthy_device(200, 100);
+  faulty_device.ConfigureFaults({/*seed=*/7, /*rate=*/1.0, /*device_id=*/0});
+  sql::Session faulty(&faulty_device, &catalog);
+  sql::Session healthy(&healthy_device, &catalog);
+  faulty.set_tenant("faulty");
+  healthy.set_tenant("healthy");
+  const std::string sql =
+      "SELECT COUNT(*) FROM flows WHERE data_count > 5000 OR "
+      "flow_rate < 100000";
+  auto last_entry_of = [](const std::string& tenant) {
+    const std::vector<QueryLogEntry> entries = QueryLog::Global().Entries();
+    auto it = std::find_if(
+        entries.rbegin(), entries.rend(),
+        [&](const QueryLogEntry& e) { return e.tenant == tenant; });
+    return it == entries.rend() ? QueryLogEntry() : *it;
+  };
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> faulty_statements{0};
+  std::thread background([&] {
+    while (!stop.load()) {
+      EXPECT_OK(faulty.Execute(sql).status());
+      ++faulty_statements;
+    }
+  });
+  while (faulty_statements.load() < 5) std::this_thread::yield();
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_OK(healthy.Execute(sql).status());
+    const QueryLogEntry entry = last_entry_of("healthy");
+    EXPECT_EQ(entry.tenant, "healthy");
+    EXPECT_EQ(entry.retries, 0u) << "statement " << i;
+    EXPECT_FALSE(entry.fell_back) << "statement " << i;
+  }
+  stop = true;
+  background.join();
+  // The faulty session's own entries do carry its degradation.
+  EXPECT_TRUE(last_entry_of("faulty").fell_back);
 }
 
 TEST_F(ResilienceTest, DisabledResilienceExposesRawFaults) {

@@ -12,6 +12,7 @@
 
 #include "src/common/metrics.h"
 #include "src/common/query_log.h"
+#include "src/common/trace.h"
 #include "src/core/executor.h"
 #include "src/core/pool_executor.h"
 #include "src/db/catalog.h"
@@ -57,7 +58,7 @@ TEST(DevicePool, HealthStateMachine) {
   EXPECT_EQ(pool->health(0), DeviceHealth::kHealthy);
 
   // threshold (default 3) consecutive faults quarantine the device.
-  for (int i = 0; i < pool->options().quarantine_threshold; ++i) {
+  for (int i = 0; i < gpu::HealthGate::kQuarantineThreshold; ++i) {
     EXPECT_TRUE(pool->AdmitDispatch(0));
     pool->RecordFailure(0);
   }
@@ -65,9 +66,9 @@ TEST(DevicePool, HealthStateMachine) {
   // The other failure domain is untouched.
   EXPECT_EQ(pool->health(1), DeviceHealth::kHealthy);
 
-  // Quarantine refuses dispatches except every probe_interval-th ask.
+  // Quarantine refuses dispatches except every kProbeInterval-th ask.
   int admitted = 0;
-  for (int i = 0; i < 2 * pool->options().probe_interval; ++i) {
+  for (int i = 0; i < 2 * gpu::HealthGate::kProbeInterval; ++i) {
     if (pool->AdmitDispatch(0)) ++admitted;
   }
   EXPECT_EQ(admitted, 2);
@@ -280,16 +281,78 @@ TEST_F(PoolExecutorTest, CpuRungCanBeDisabled) {
   ASSERT_OK_AND_ASSIGN(
       db::ShardedTable sharded,
       db::ShardedTable::Make(table_, /*num_shards=*/4, pool->size()));
-  ASSERT_OK_AND_ASSIGN(auto exec,
-                       core::PoolExecutor::Make(pool.get(), &sharded));
-  core::FailoverPolicy policy;
-  policy.allow_cpu_fallback = false;
-  exec->set_failover_policy(policy);
+  core::ResilienceOptions options;
+  options.allow_cpu_fallback = false;
+  ASSERT_OK_AND_ASSIGN(
+      auto exec, core::PoolExecutor::Make(pool.get(), &sharded, options));
   pool->ForceDeviceLost(0);
   pool->ForceDeviceLost(1);
   auto result = exec->Count(nullptr);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsDeviceLost());
+}
+
+// A gate is consulted only when a later rung could answer instead: with the
+// CPU rung off, a quarantined (not force-lost) last placement is still
+// tried, and its success heals it.
+TEST_F(PoolExecutorTest, QuarantinedLastPlacementIsAttemptedWithCpuRungOff) {
+  auto pool = MakePool(1);
+  ASSERT_OK_AND_ASSIGN(
+      db::ShardedTable sharded,
+      db::ShardedTable::Make(table_, /*num_shards=*/2, pool->size()));
+  core::ResilienceOptions options;
+  options.allow_cpu_fallback = false;
+  ASSERT_OK_AND_ASSIGN(
+      auto exec, core::PoolExecutor::Make(pool.get(), &sharded, options));
+  for (int i = 0; i < gpu::HealthGate::kQuarantineThreshold; ++i) {
+    pool->RecordFailure(0);
+  }
+  ASSERT_EQ(pool->health(0), DeviceHealth::kQuarantined);
+  const ExprPtr where = Expr::Pred(0, CompareOp::kGreater, 20000.0f);
+  ASSERT_OK_AND_ASSIGN(const uint64_t want, reference_->Count(where));
+  ASSERT_OK_AND_ASSIGN(const uint64_t got, exec->Count(where));
+  EXPECT_EQ(got, want);
+  EXPECT_FALSE(exec->last_stats().cpu_fallback);
+  EXPECT_EQ(exec->last_stats().failovers, 0u);
+  EXPECT_EQ(pool->health(0), DeviceHealth::kHealthy);
+}
+
+// The pooled CPU rung is the same rung as the single-device one: it counts
+// queries.fell_back.<op> and stamps a resilience.fallback trace event.
+TEST_F(PoolExecutorTest, PooledCpuFallbackIsCountedPerOpAndTraced) {
+  auto pool = MakePool(2);
+  ASSERT_OK_AND_ASSIGN(
+      db::ShardedTable sharded,
+      db::ShardedTable::Make(table_, /*num_shards=*/4, pool->size()));
+  ASSERT_OK_AND_ASSIGN(auto exec,
+                       core::PoolExecutor::Make(pool.get(), &sharded));
+  pool->ForceDeviceLost(0);
+  pool->ForceDeviceLost(1);
+  const ExprPtr where = Expr::Pred(0, CompareOp::kGreater, 20000.0f);
+  ASSERT_OK_AND_ASSIGN(const uint64_t want, reference_->Count(where));
+
+  MetricCounter& per_op =
+      MetricsRegistry::Global().counter("queries.fell_back.count");
+  const uint64_t per_op_before = per_op.value();
+  Tracer& tracer = Tracer::Global();
+  const bool was_enabled = tracer.enabled();
+  tracer.set_enabled(true);
+  const size_t mark = tracer.FinishedCount();
+  auto got = exec->Count(where);
+  const std::vector<FinishedSpan> spans = tracer.FinishedSince(mark);
+  tracer.set_enabled(was_enabled);
+
+  ASSERT_OK(got.status());
+  EXPECT_EQ(got.ValueOrDie(), want);
+  EXPECT_TRUE(exec->last_stats().cpu_fallback);
+  EXPECT_EQ(per_op.value(), per_op_before + sharded.num_shards());
+  size_t fallbacks = 0;
+  for (const FinishedSpan& span : spans) {
+    if (span.name == "resilience.fallback" && span.TextTag("op") == "count") {
+      ++fallbacks;
+    }
+  }
+  EXPECT_EQ(fallbacks, sharded.num_shards());
 }
 
 TEST_F(PoolExecutorTest, MedianStaysSingleDevice) {

@@ -7,6 +7,7 @@
 #include "src/core/executor.h"
 #include "src/db/datagen.h"
 #include "src/gpu/device.h"
+#include "src/predicate/cnf.h"
 #include "src/sql/lexer.h"
 #include "src/sql/parser.h"
 #include "tests/test_util.h"
@@ -188,6 +189,39 @@ TEST_F(ParserTest, NestingIsBounded) {
   for (int i = 0; i <= kMaxExprNesting / 2; ++i) mixed += "NOT (";
   mixed += "u0 > 1" + std::string(kMaxExprNesting / 2 + 1, ')');
   EXPECT_TRUE(ParseQuery(mixed, table_).status().IsInvalidArgument());
+}
+
+TEST_F(ParserTest, ComparisonCountIsBounded) {
+  auto chain = [](int comparisons, const char* conjunction) {
+    std::string sql = "SELECT COUNT(*) FROM t WHERE u0 > 0";
+    for (int i = 1; i < comparisons; ++i) {
+      sql += std::string(" ") + conjunction + " u0 > " + std::to_string(i);
+    }
+    return sql;
+  };
+  for (const char* conjunction : {"AND", "OR"}) {
+    SCOPED_TRACE(conjunction);
+    // The accepted maximum parses, converts to both normal forms, and tears
+    // down without exhausting the stack.
+    {
+      ASSERT_OK_AND_ASSIGN(
+          Query q, ParseQuery(chain(kMaxWhereComparisons, conjunction),
+                              table_));
+      ASSERT_OK_AND_ASSIGN(predicate::Cnf cnf, predicate::ToCnf(q.where));
+      ASSERT_OK_AND_ASSIGN(predicate::Dnf dnf, predicate::ToDnf(q.where));
+      EXPECT_EQ(cnf.predicate_count(),
+                static_cast<size_t>(kMaxWhereComparisons));
+      EXPECT_EQ(dnf.predicate_count(),
+                static_cast<size_t>(kMaxWhereComparisons));
+    }
+    EXPECT_TRUE(ParseQuery(chain(kMaxWhereComparisons + 1, conjunction),
+                           table_)
+                    .status()
+                    .IsInvalidArgument());
+    EXPECT_TRUE(ParseQuery(chain(30000, conjunction), table_)
+                    .status()
+                    .IsInvalidArgument());
+  }
 }
 
 TEST_F(ParserTest, NegativeLiterals) {
